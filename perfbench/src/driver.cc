@@ -6,9 +6,9 @@
 //   set-up      serving assets (x kSetupRepeats, median): kNN build, the
 //               A/B snapshots with an ANNI section, chained IMRD deltas,
 //               ServeRouter::Open, warm-up
-//   timed       open-loop Poisson traffic through SubmitAsync, climbing a
-//               fixed rate ladder, with reloads during (serve-churn) or
-//               after (the others) the traffic
+//   timed       open-loop Poisson traffic through SubmitAsync at two fixed
+//               rates, then a bisection of a fixed rate ladder, with
+//               reloads during (serve-churn) or after (serve-zipf) it
 //   checks      the reloaded pipeline snapshot serves PaModel::Predict's
 //               probabilities; every response holds one finite probability
 //               per relation and an in-range generation; a fixed sample
@@ -264,12 +264,12 @@ Pipeline RunPipeline(const imr::datagen::SyntheticDataset& data,
 
 // ---- requests --------------------------------------------------------------
 
-// The pairs of `bags` as serve queries, sentences from `corpus` in corpus
-// order (the order BagDataset groups them in), aligned with `bags`.
-// `max_sentences` <= 0 keeps the whole bag.
+// The pairs of `bags` as serve queries, each with its whole bag of
+// sentences from `corpus` in corpus order (the order BagDataset groups them
+// in), aligned with `bags`.
 std::vector<Query> PairQueries(
     const std::vector<imr::text::LabeledSentence>& corpus,
-    const std::vector<imr::re::Bag>& bags, int max_sentences) {
+    const std::vector<imr::re::Bag>& bags) {
   std::map<std::pair<int64_t, int64_t>, std::vector<const imr::text::Sentence*>>
       by_pair;
   for (const auto& labeled : corpus) {
@@ -284,50 +284,29 @@ std::vector<Query> PairQueries(
     query.tail = bag.tail;
     query.head_types = bag.head_types;
     query.tail_types = bag.tail_types;
-    for (const imr::text::Sentence* sentence : by_pair[{bag.head, bag.tail}]) {
-      if (max_sentences > 0 &&
-          static_cast<int>(query.sentences.size()) >= max_sentences)
-        break;
+    for (const imr::text::Sentence* sentence : by_pair[{bag.head, bag.tail}])
       query.sentences.push_back(*sentence);
-    }
     queries.push_back(std::move(query));
   }
   return queries;
 }
 
-// Pair index of every request of the run: Zipf over a hot set of pairs, or
-// uniform over all of them. A pure function of the seed.
-std::vector<int> RequestMix(bool uniform, int num_pairs, size_t count,
-                            uint64_t seed) {
+// Query index of every request of the run, a pure function of the seed.
+// Uniform draws every query alike. Otherwise a query is drawn in proportion
+// to its sentence count, as if each request named the pair of a random
+// corpus sentence: pair frequencies then follow the corpus's own long tail
+// (the NYT preset's Zipf sentence counts, paper Fig. 1a).
+std::vector<int> RequestMix(bool uniform, const std::vector<Query>& queries,
+                            size_t count, uint64_t seed) {
+  std::vector<int> tickets;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const size_t n = uniform ? 1 : queries[q].sentences.size();
+    tickets.insert(tickets.end(), n, static_cast<int>(q));
+  }
   imr::util::Rng rng(seed ^ 0xC0FFEEULL);
   std::vector<int> order(count);
-  if (uniform) {
-    for (int& pair : order)
-      pair = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(num_pairs)));
-    return order;
-  }
-  // Hot pairs are a seeded sample of all pairs, ranked; rank k is drawn
-  // with probability proportional to 1 / (k + 1)^s.
-  const int hot = std::min(kHotPairs, num_pairs);
-  std::vector<int> ids(static_cast<size_t>(num_pairs));
-  for (int i = 0; i < num_pairs; ++i) ids[static_cast<size_t>(i)] = i;
-  for (int i = 0; i < hot; ++i) {
-    const int j = i + static_cast<int>(rng.UniformInt(
-                          static_cast<uint64_t>(num_pairs - i)));
-    std::swap(ids[static_cast<size_t>(i)], ids[static_cast<size_t>(j)]);
-  }
-  std::vector<double> cdf(static_cast<size_t>(hot));
-  double total = 0.0;
-  for (int k = 0; k < hot; ++k) {
-    total += 1.0 / std::pow(k + 1.0, kZipfExponent);
-    cdf[static_cast<size_t>(k)] = total;
-  }
-  for (int& pair : order) {
-    const double u = rng.Uniform() * total;
-    const size_t k = static_cast<size_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-    pair = ids[std::min(k, cdf.size() - 1)];
-  }
+  for (int& query : order)
+    query = tickets[rng.UniformInt(static_cast<uint64_t>(tickets.size()))];
   return order;
 }
 
@@ -443,7 +422,11 @@ ServeAssets PrepareServing(const imr::datagen::SyntheticDataset& data,
 struct ReloadLog {
   std::vector<double> full_ms;
   std::vector<double> delta_ms;
-  std::vector<double> all_ms;
+  // Whole cycles: a full reload plus the kDeltasPerBase deltas after it.
+  std::vector<double> cycle_ms;
+  double open_cycle_ms = 0.0;
+  int open_cycle_reloads = 0;  // 0: no cycle open
+  uint64_t done = 0;
   uint64_t failed = 0;
   // state_of_generation[g] is the snapshot state generation g served.
   std::vector<int> state_of_generation = {-1, 0};
@@ -471,10 +454,21 @@ void ReloadStep(ServeAssets* assets, int k, ReloadLog* log, Tracer* tracer) {
     std::fprintf(stderr, "perfbench: reload %d failed: %s\n", k,
                  status.ToString().c_str());
     ++log->failed;
+    log->open_cycle_reloads = 0;
     return;
   }
+  ++log->done;
   (full ? log->full_ms : log->delta_ms).push_back(ms);
-  log->all_ms.push_back(ms);
+  if (full) {
+    log->open_cycle_ms = ms;
+    log->open_cycle_reloads = 1;
+  } else if (log->open_cycle_reloads > 0) {
+    log->open_cycle_ms += ms;
+    if (++log->open_cycle_reloads == kDeltasPerBase + 1) {
+      log->cycle_ms.push_back(log->open_cycle_ms);
+      log->open_cycle_reloads = 0;
+    }
+  }
   const uint64_t generation = assets->router->generation();
   log->state_of_generation.resize(generation + 1, -1);
   log->state_of_generation[generation] = state;
@@ -497,6 +491,7 @@ struct Rung {
   bool abandoned = false;
   size_t cache_hits = 0;
   size_t knn_fired = 0;
+  size_t sentences = 0;  // of the ok responses
   double drain_ms = 0.0;
   std::vector<double> latency_ms, forward_ms, wait_ms, lag_ms;
   std::vector<Sampled> sampled;
@@ -573,6 +568,9 @@ Rung RunRung(imr::serve::ServeRouter* router, const std::vector<Query>& queries,
         rung.wait_ms.push_back(std::max(0.0, latency - forward));
         rung.cache_hits += result->mr_cache_hit ? 1 : 0;
         rung.knn_fired += result->knn_fired ? 1 : 0;
+        rung.sentences +=
+            queries[static_cast<size_t>(pairs[first_request + item.index])]
+                .sentences.size();
         if (tracer->enabled()) {
           const int request_span = tracer->Record(
               "serve.request", item.due, now, rung_span.id(), item.request);
@@ -656,16 +654,11 @@ Rung RunRung(imr::serve::ServeRouter* router, const std::vector<Query>& queries,
   return rung;
 }
 
-// The ladder's pass rule, over the pooled samples of one rate's phases.
-bool Passes(const std::vector<const Rung*>& phases) {
-  std::vector<double> latency_ms;
-  for (const Rung* phase : phases) {
-    if (phase->abandoned || phase->failed > 0 || phase->drain_ms > kP99LimitMs)
-      return false;
-    latency_ms.insert(latency_ms.end(), phase->latency_ms.begin(),
-                      phase->latency_ms.end());
-  }
-  const auto p99 = Percentile(latency_ms, 0.99);
+// The ladder's pass rule.
+bool Passes(const Rung& rung) {
+  if (rung.abandoned || rung.failed > 0 || rung.drain_ms > kP99LimitMs)
+    return false;
+  const auto p99 = Percentile(rung.latency_ms, 0.99);
   return p99.has_value() && *p99 <= kP99LimitMs;
 }
 
@@ -715,8 +708,8 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
   // Set-up and pipeline, kSetupRepeats times; each time-varying figure is
   // the median over the repeats, and the last repeat's outputs are served.
   // One repeat: datagen (set-up), the offline pipeline (timed), then the
-  // serving assets (set-up).
-  std::vector<double> datagen_s, pipeline_s, auc, serve_setup_s, pipeline_cpu_s;
+  // serving assets and warm-up traffic (set-up).
+  std::vector<double> datagen_s, pipeline_s, auc, setup_s, pipeline_cpu_s;
   std::unique_ptr<imr::datagen::SyntheticDataset> data;
   Pipeline pipeline;
   ServeAssets assets;
@@ -748,6 +741,7 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
     pipeline_s.push_back(pipeline.seconds);
     auc.push_back(pipeline.auc);
     ++out.attempted;
+    const Clock::time_point serving_start = Clock::now();
 
     // Requests: held-out pairs that have sentences, and the traffic plan --
     // lo and hi segments interleaved, then two attempts per ladder rung,
@@ -755,14 +749,13 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
     // of it is fixed by the seed, so every repeat builds the same plan.
     serve_queries.clear();
     for (Query& query :
-         PairQueries(data->corpus.test, pipeline.bags->test_bags(),
-                     kMaxQuerySentences)) {
+         PairQueries(data->corpus.test, pipeline.bags->test_bags())) {
       if (!query.sentences.empty()) serve_queries.push_back(std::move(query));
     }
+    const size_t heldout_pairs = serve_queries.size();
     if (spec.churn) {
-      for (Query& query : PairQueries(data->corpus.train,
-                                      pipeline.bags->train_bags(),
-                                      kMaxQuerySentences)) {
+      for (Query& query :
+           PairQueries(data->corpus.train, pipeline.bags->train_bags())) {
         serve_queries.push_back(std::move(query));
       }
       Require(serve_queries.size() >
@@ -791,29 +784,71 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
       add_phase(kHiQps, segment(kHiQps, 1.0 - kLoShare));
     }
     for (double qps : kLadderQps) {
-      add_phase(qps, kRungRequests);
-      add_phase(qps, kRungRequests);
+      const size_t count = std::max(
+          kRungRequests, static_cast<size_t>(std::ceil(qps * kRungSeconds)));
+      add_phase(qps, count);
+      add_phase(qps, count);
     }
-    mix = RequestMix(spec.churn, static_cast<int>(serve_queries.size()),
-                     total_requests, args.seed);
-    // Warm-up covers the distinct pairs at the head of the mix, so the MR
-    // cache holds the whole hot set before timing starts.
-    std::vector<Query> warmup;
-    std::vector<bool> seen(serve_queries.size(), false);
-    for (size_t i = 0; i < mix.size() && warmup.size() < 1024; ++i) {
-      const size_t pair = static_cast<size_t>(mix[i]);
-      if (seen[pair]) continue;
-      seen[pair] = true;
-      warmup.push_back(serve_queries[pair]);
-    }
+    mix = RequestMix(spec.churn, serve_queries, total_requests, args.seed);
+    // Warm-up sends each held-out pair once: on serve-zipf that is every
+    // pair the timed traffic sends, so the MR cache is hot before timing
+    // starts.
+    const std::vector<Query> warmup(
+        serve_queries.begin(),
+        serve_queries.begin() + static_cast<std::ptrdiff_t>(heldout_pairs));
 
-    const Clock::time_point start = Clock::now();
     assets = PrepareServing(*data, pipeline, args.seed, dir, warmup, tracer);
-    serve_setup_s.push_back(SecondsBetween(start, Clock::now()));
+    {
+      // Warm-up through the timed path (SubmitAsync, open loop at the hi
+      // rate); its checks are not counted.
+      ScopedSpan span(tracer, "serve.warmup_traffic");
+      Checks ignored;
+      const std::atomic<uint64_t> boot_generation{1};
+      RunRung(assets.router.get(), serve_queries,
+              pipeline.bags->num_relations(), boot_generation, mix, 0,
+              kHiQps,
+              PoissonSchedule(args.seed ^ 0x5eed, kHiQps, kWarmupRequests),
+              &ignored, tracer);
+    }
+    setup_s.push_back(datagen_s.back() +
+                      SecondsBetween(serving_start, Clock::now()));
+  }
+  {
+    // The shape of the timed traffic: sentences per request and distinct
+    // pairs over the whole request mix.
+    std::vector<double> sentences;
+    std::vector<bool> seen(serve_queries.size(), false);
+    size_t distinct = 0;
+    for (int query : mix) {
+      sentences.push_back(static_cast<double>(
+          serve_queries[static_cast<size_t>(query)].sentences.size()));
+      if (!seen[static_cast<size_t>(query)]) ++distinct;
+      seen[static_cast<size_t>(query)] = true;
+    }
+    double sum = 0.0;
+    for (double n : sentences) sum += n;
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "traffic: %zu requests over %zu distinct of %zu pairs; "
+                  "sentences per request mean %.2f p50 %.0f p90 %.0f p99 %.0f "
+                  "max %.0f",
+                  mix.size(), distinct, serve_queries.size(),
+                  sum / static_cast<double>(sentences.size()),
+                  Percentile(sentences, 0.50).value_or(-1),
+                  Percentile(sentences, 0.90).value_or(-1),
+                  Percentile(sentences, 0.99).value_or(-1),
+                  *std::max_element(sentences.begin(), sentences.end()));
+    out.notes.push_back(line);
+  }
+  {
+    std::string line = "pipeline_s of each repeat:";
+    for (double seconds : pipeline_s) line += " " + std::to_string(seconds);
+    out.notes.push_back(line);
   }
   out.notes.push_back(
       "pipeline input: " + std::to_string(pipeline.bags->train_bags().size()) +
-      " train bags, " + std::to_string(pipeline.bags->test_bags().size()) +
+      " train bags of " + std::to_string(data->corpus.train.size()) +
+      " sentences, " + std::to_string(pipeline.bags->test_bags().size()) +
       " held-out bags, " + std::to_string(pipeline.edges) +
       " proximity edges, vocabulary " +
       std::to_string(pipeline.bags->vocabulary().size()));
@@ -822,7 +857,7 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
   // probabilities for a fixed sample of held-out bags.
   {
     const std::vector<imr::re::Bag>& test_bags = pipeline.bags->test_bags();
-    const std::vector<Query> full = PairQueries(data->corpus.test, test_bags, 0);
+    const std::vector<Query> full = PairQueries(data->corpus.test, test_bags);
     imr::serve::EngineOptions options;
     options.threads = 1;
     auto engine =
@@ -840,21 +875,6 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
     checks.Expect(checked > 0, "pipeline check sampled held-out bags");
   }
   imr::serve::ServeRouter* router = assets.router.get();
-
-  // Warm-up through the timed path (SubmitAsync, open loop at the lo rate),
-  // counted in set-up and not timed.
-  double warm_traffic_s = 0.0;
-  {
-    const Clock::time_point start = Clock::now();
-    ScopedSpan span(tracer, "serve.warmup_traffic");
-    Checks ignored;
-    const std::atomic<uint64_t> boot_generation{1};
-    RunRung(router, serve_queries, pipeline.bags->num_relations(),
-            boot_generation, mix, 0, kHiQps,
-            PoissonSchedule(args.seed ^ 0x5eed, kHiQps, kWarmupRequests),
-            &ignored, tracer);
-    warm_traffic_s = SecondsBetween(start, Clock::now());
-  }
 
   // Timed: the segments and the ladder, with the reload writer during the
   // traffic for serve-churn.
@@ -893,15 +913,18 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
   // Segments are the first 2 * kSegments phases: lo at even, hi at odd.
   std::vector<const Rung*> segments[2];
   for (size_t i = 0; i < rungs.size(); ++i) segments[i % 2].push_back(&rungs[i]);
+  // goodput_qps: bisection over the ladder; rungs [low, high) are still
+  // undecided.
   double goodput = 0.0;
-  if (Passes(segments[0])) goodput = kLoQps;
-  if (goodput > 0 && Passes(segments[1])) {
-    goodput = kHiQps;
-    for (size_t r = 0; r < kLadderQps.size(); ++r) {
-      const size_t first = 2 * static_cast<size_t>(kSegments) + 2 * r;
-      if (!Passes({&run_phase(first)}) && !Passes({&run_phase(first + 1)}))
-        break;
-      goodput = kLadderQps[r];
+  size_t low = 0, high = kLadderQps.size();
+  while (low < high) {
+    const size_t mid = low + (high - low) / 2;
+    const size_t first = 2 * static_cast<size_t>(kSegments) + 2 * mid;
+    if (Passes(run_phase(first)) || Passes(run_phase(first + 1))) {
+      goodput = kLadderQps[mid];
+      low = mid + 1;
+    } else {
+      high = mid;
     }
   }
   const double serving_cpu_s = CpuSeconds() - cpu_before_serving;
@@ -914,8 +937,12 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
   }
   const imr::serve::RouterStats router_stats = router->Stats();
   if (!spec.churn) {
-    for (int k = 1; k <= kMinReloads; ++k)
+    Clock::time_point next = Clock::now();
+    for (int k = 1; k <= kMinReloads; ++k) {
+      next += std::chrono::milliseconds(kQuietReloadPeriodMs);
+      std::this_thread::sleep_until(next);
       ReloadStep(&assets, k, &reloads, tracer);
+    }
   }
 
   // Check: a fixed sample of responses matches a single-threaded reference
@@ -970,15 +997,13 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
     knn_fired += rung.knn_fired;
   }
   const auto& admission = router_stats.aggregate;
-  out.attempted += sent + reloads.all_ms.size() + reloads.failed;
+  out.attempted += sent + reloads.done + reloads.failed;
   out.failed = failed_requests + reloads.failed + checks.failed;
   out.correct = checks.failed == 0;
 
   // End-to-end metrics.
   auto& e2e = out.end_to_end;
-  e2e.push_back({"setup_s",
-                 Median(datagen_s) + Median(serve_setup_s) + warm_traffic_s,
-                 "s"});
+  e2e.push_back({"setup_s", Median(setup_s), "s"});
   e2e.push_back({"peak_rss_mb", PeakRssMb(), "MB"});
   e2e.push_back({"success_rate",
                  1.0 - static_cast<double>(out.failed) /
@@ -995,15 +1020,18 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
                                segment->latency_ms.end());
     }
   }
-  // The model forward time of the hi requests (Prediction::latency_us).
-  // Client latency itself is reported per layer: see workloads.h.
+  // Model forward time (Prediction::latency_us) per sentence served, over
+  // the lo and hi segments: total forward time over total sentences. Client
+  // latency itself is reported per layer: see workloads.h.
   {
-    std::vector<double> forward_ms;
-    for (const Rung* segment : segments[1]) {
-      forward_ms.insert(forward_ms.end(), segment->forward_ms.begin(),
-                        segment->forward_ms.end());
+    double forward_ms = 0.0;
+    size_t sentences = 0;
+    for (size_t i = 0; i < 2 * static_cast<size_t>(kSegments); ++i) {
+      for (double ms : rungs[i].forward_ms) forward_ms += ms;
+      sentences += rungs[i].sentences;
     }
-    AddQuantile(&e2e, &out.notes, "forward_p50_ms.hi", forward_ms, 0.50, "ms");
+    e2e.push_back({"forward_us_per_sentence",
+                   1e3 * forward_ms / static_cast<double>(sentences), "us"});
   }
   for (int parity = 0; parity < 2; ++parity) {
     for (double q : {0.50, 0.90, 0.99}) {
@@ -1016,7 +1044,8 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
     }
   }
   e2e.push_back({"goodput_qps", goodput, "1/s"});
-  AddQuantile(&e2e, &out.notes, "reload_p50_ms", reloads.all_ms, 0.50, "ms");
+  AddQuantile(&e2e, &out.notes, "reload_cycle_p50_ms", reloads.cycle_ms, 0.50,
+              "ms");
   for (const Rung& rung : rungs) {
     const auto p99 = Percentile(rung.latency_ms, 0.99);
     char line[256];
@@ -1097,6 +1126,8 @@ Outcome RunWorkload(const WorkloadSpec& spec, const Args& args,
       AddQuantile(&layer, &out.notes, "serve.lat_p99_ms" + label,
                   pooled_ms[parity], 0.99, "ms");
     }
+    AddQuantile(&layer, &out.notes, "serve.forward_ms.p50",
+                Concat(rungs, &Rung::forward_ms), 0.50, "ms");
     AddQuantile(&layer, &out.notes, "serve.forward_ms.p99",
                 Concat(rungs, &Rung::forward_ms), 0.99, "ms");
     AddQuantile(&layer, &out.notes, "serve.wait_ms.p50",
@@ -1225,7 +1256,7 @@ int Main(int argc, char** argv) {
   outcome.per_layer.push_back(
       {"bench.trace_overhead", overhead("pipeline_s"), "share"});
   outcome.per_layer.push_back(
-      {"bench.trace_overhead.forward_p50_hi", overhead("forward_p50_ms.hi"),
+      {"bench.trace_overhead.forward", overhead("forward_us_per_sentence"),
        "share"});
   for (const std::string& note : outcome.notes)
     std::printf("note %s\n", note.c_str());
