@@ -9,8 +9,7 @@
 //       drawn from the held-out split).
 //
 //   imr_serve query --workdir DIR [--queries FILE.tsv] [--top_k 3]
-//                   [--threads 0] [--async] [--max_batch 32]
-//                   [--batch_delay_us 200] [--cache 4096]
+//                   [--threads 0] [--cache 4096]
 //       loads DIR/model.imrs, answers every query in the TSV, prints the
 //       top-k relations per entity pair and the engine's latency counters.
 //
@@ -49,8 +48,7 @@ constexpr const char* kUsage =
     "  train-demo --workdir DIR [--preset nyt|gds] [--scale S]\n"
     "             [--epochs N] [--seed S]\n"
     "  query      --workdir DIR [--queries FILE.tsv] [--top_k K]\n"
-    "             [--threads N] [--async] [--max_batch B]\n"
-    "             [--batch_delay_us U] [--cache C]\n"
+    "             [--threads N] [--cache C]\n"
     "  serve      --workdir DIR [--replicas R] [--workers W]\n"
     "             [--cache_shards S] [--max_queue Q] [--deadline_us D]\n"
     "             [--watch_ms N]\n";
@@ -188,14 +186,13 @@ util::StatusOr<std::vector<QueryLine>> ReadQueryFile(
 // counters.
 void PrintStats(const serve::EngineStats& stats) {
   std::printf(
-      "gen=%llu requests=%llu batches=%llu; mr-cache %llu hit / %llu miss\n"
+      "gen=%llu requests=%llu; mr-cache %llu hit / %llu miss\n"
       "latency us: mean=%.0f p50=%.0f p99=%.0f p999=%.0f max=%.0f; "
       "qps=%.0f\n"
       "admission: queue depth=%llu peak=%llu admitted=%llu rejected=%llu "
       "shed=%llu\n",
       static_cast<unsigned long long>(stats.generation),
       static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.batches),
       static_cast<unsigned long long>(stats.mr_cache_hits),
       static_cast<unsigned long long>(stats.mr_cache_misses),
       stats.mean_latency_us, stats.p50_latency_us, stats.p99_latency_us,
@@ -222,8 +219,6 @@ int Query(const util::FlagParser& flags) {
   serve::EngineOptions options;
   options.top_k = static_cast<int>(flags.GetInt("top_k"));
   options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.max_batch = static_cast<int>(flags.GetInt("max_batch"));
-  options.batch_delay_us = static_cast<int>(flags.GetInt("batch_delay_us"));
   options.mr_cache_capacity = static_cast<size_t>(flags.GetInt("cache"));
   auto engine = serve::InferenceEngine::Open(dir + "/model.imrs", options);
   if (!engine.ok()) return Fail(engine.status());
@@ -250,18 +245,8 @@ int Query(const util::FlagParser& flags) {
     }
   }
 
-  const bool use_async = flags.GetBool("async");
-  std::vector<util::StatusOr<serve::Prediction>> results;
-  if (use_async) {
-    std::vector<std::future<util::StatusOr<serve::Prediction>>> futures;
-    futures.reserve(queries.size());
-    for (serve::Query& query : queries) {
-      futures.push_back((*engine)->SubmitAsync(std::move(query)));
-    }
-    for (auto& future : futures) results.push_back(future.get());
-  } else {
-    results = (*engine)->PredictBatch(queries);
-  }
+  const std::vector<util::StatusOr<serve::Prediction>> results =
+      (*engine)->PredictBatch(queries);
 
   for (size_t i = 0; i < results.size(); ++i) {
     std::printf("(%s, %s)", pair_names[i].first.c_str(),
@@ -276,8 +261,7 @@ int Query(const util::FlagParser& flags) {
     std::printf("\n");
   }
 
-  std::printf("\nmode: %s\n",
-              use_async ? "async micro-batched" : "one PredictBatch");
+  std::printf("\n");
   PrintStats((*engine)->Stats());
   return 0;
 }
@@ -435,9 +419,6 @@ int main(int argc, char** argv) {
   flags.AddString("queries", "", "query TSV (default workdir/queries.tsv)");
   flags.AddInt("top_k", 3, "relations printed per pair (query)");
   flags.AddInt("threads", 0, "engine threads; 0 = shared global pool");
-  flags.AddBool("async", false, "use SubmitAsync micro-batching (query)");
-  flags.AddInt("max_batch", 32, "micro-batch flush size (query --async)");
-  flags.AddInt("batch_delay_us", 200, "micro-batch linger (query --async)");
   flags.AddInt("cache", 4096, "mutual-relation LRU capacity (query)");
   flags.AddInt("replicas", 1, "engine replicas behind the router (serve)");
   flags.AddInt("workers", 1, "worker threads per replica (serve)");

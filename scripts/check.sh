@@ -80,9 +80,10 @@ else
 fi
 
 # 1b'''. Snapshot format compatibility: the SnapshotCompat* suite proves
-# the current writer still emits loadable v1, v2 opens zero-copy with a
-# valid content hash, and a v1-era reader cleanly rejects v2 files — the
-# cross-version contract a serving fleet mid-rollout depends on.
+# snapshots open zero-copy with a valid content hash, a reader expecting
+# the retired version 1 cleanly rejects them, a version-1 header fails
+# with a Status naming the file, and ApplyDelta on a base without a
+# mapping returns a Status instead of aborting.
 if [ -x build/tests/serve_test ]; then
   run_stage "snapshot-compat" build/tests/serve_test \
       --gtest_filter='SnapshotCompat*'

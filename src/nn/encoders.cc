@@ -186,6 +186,11 @@ Tensor GruEncoder::Encode(const EncoderInput& input, util::Rng* rng) const {
   return tensor::Dropout(repr, config_.dropout, rng, training());
 }
 
+bool IsEncoderKind(std::string_view kind) {
+  return std::find(kEncoderKinds.begin(), kEncoderKinds.end(), kind) !=
+         kEncoderKinds.end();
+}
+
 std::unique_ptr<SentenceEncoder> MakeEncoder(const std::string& kind,
                                              const EncoderConfig& config,
                                              util::Rng* rng) {

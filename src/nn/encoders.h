@@ -6,7 +6,10 @@
 #ifndef IMR_NN_ENCODERS_H_
 #define IMR_NN_ENCODERS_H_
 
+#include <array>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/layers.h"
@@ -138,7 +141,16 @@ class GruEncoder : public SentenceEncoder {
   tensor::Tensor attn_query_;
 };
 
-/// Factory by name: "pcnn", "cnn", "gru", "bgwa" (gru + word attention).
+/// Every kind MakeEncoder builds ("bgwa" is gru + word attention). The
+/// one list of encoder names: snapshot validation reads it too.
+inline constexpr std::array<std::string_view, 4> kEncoderKinds = {
+    "pcnn", "cnn", "gru", "bgwa"};
+
+/// True when `kind` is one of kEncoderKinds.
+bool IsEncoderKind(std::string_view kind);
+
+/// Factory by name over kEncoderKinds; null (and an error log) for any
+/// other kind.
 std::unique_ptr<SentenceEncoder> MakeEncoder(const std::string& kind,
                                              const EncoderConfig& config,
                                              util::Rng* rng);

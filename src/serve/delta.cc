@@ -182,6 +182,12 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
   if (base.model == nullptr) {
     return util::InvalidArgument("delta base snapshot carries no model");
   }
+  if (base.mapping == nullptr || !base.embeddings.borrowed()) {
+    return util::FailedPrecondition(
+        "delta '" + path +
+        "': base snapshot has no mapping to patch (only a snapshot opened "
+        "by LoadSnapshot or produced by ApplyDelta can take a delta)");
+  }
   // Deltas are authenticated end to end: result_hash covers every byte
   // between the header and the end sentinel, seeded with the base hash.
   // Verify it up front — the file is O(touched rows) small, so one hash
@@ -244,36 +250,20 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
   IMR_RETURN_IF_ERROR(ReadRowIds(&reader, count, num_vertices, &rows));
   IMR_RETURN_IF_ERROR(SkipPad(&reader, kRowAlign));
 
-  // The fast path block-aliases the base mapping: a MAP_PRIVATE clone of
-  // the same pages, where only the row-blocks memcpy'd below are actually
-  // copied (kernel CoW) — everything else keeps sharing the base's physical
-  // pages. The owned fallback (v1 base) copies the matrix once instead.
-  const bool zero_copy = base.mapping != nullptr && base.layout.valid &&
-                         base.embeddings.borrowed();
-  std::shared_ptr<util::MmapFile> clone;
-  uint8_t* clone_bytes = nullptr;
-  graph::EmbeddingStore patched;
-  if (zero_copy) {
-    auto cloned = base.mapping->PrivateCopy();
-    IMR_RETURN_IF_ERROR(cloned.status());
-    clone = std::move(*cloned);
-    clone_bytes = clone->mutable_data();
-    for (uint32_t row : rows) {
-      reader.ReadBytes(
-          clone_bytes + base.layout.embd_data + row * row_bytes, row_bytes);
-    }
-  } else {
-    patched = graph::EmbeddingStore(num_vertices, dim);
-    std::memcpy(patched.Vector(0), base.embeddings.raw(),
-                base.embeddings.value_count() * sizeof(float));
-    for (uint32_t row : rows) {
-      reader.ReadBytes(patched.Vector(static_cast<int>(row)), row_bytes);
-    }
+  // Block-alias the base mapping: a MAP_PRIVATE clone of the same pages,
+  // where only the row-blocks memcpy'd below are actually copied (kernel
+  // CoW) — everything else keeps sharing the base's physical pages.
+  auto cloned = base.mapping->PrivateCopy();
+  IMR_RETURN_IF_ERROR(cloned.status());
+  std::shared_ptr<util::MmapFile> clone = std::move(*cloned);
+  uint8_t* clone_bytes = clone->mutable_data();
+  for (uint32_t row : rows) {
+    reader.ReadBytes(clone_bytes + base.layout.embd_data + row * row_bytes,
+                     row_bytes);
   }
   IMR_RETURN_IF_ERROR(reader.status());
 
-  const bool base_has_qemb = !base.quantized_embeddings.empty();
-  const bool qemb_in_place = zero_copy && base_has_qemb &&
+  const bool qemb_in_place = !base.quantized_embeddings.empty() &&
                              base.layout.qemb_data != 0 &&
                              base.quantized_embeddings.borrowed();
   bool quantized_patched = false;
@@ -325,9 +315,9 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
       }
       quantized_patched = true;
     } else {
-      // No in-place QEMB to patch (v1 base or no QEMB section): consume
-      // the payload; the owned path rebuilds below from the fp32 rows,
-      // which QuantizeRow maps to the same bits.
+      // No mapped QEMB to patch (the file had no QEMB section): consume
+      // the payload. A quantized server requantizes the patched fp32 rows
+      // at ModelState::Create, which QuantizeRow maps to the same bits.
       std::vector<int8_t> discard(static_cast<size_t>(dim));
       for (uint32_t i = 0; i < qcount; ++i) {
         reader.ReadBytes(discard.data(), discard.size());
@@ -407,34 +397,21 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
   next.knn = base.knn;
   next.model = std::move(model);
   next.content_hash = result_hash;
-  next.format_version = base.format_version;
-  if (zero_copy) {
-    next.embeddings = graph::EmbeddingStore::View(
+  next.embeddings = graph::EmbeddingStore::View(
+      num_vertices, dim,
+      reinterpret_cast<const float*>(clone->data() + base.layout.embd_data),
+      clone);
+  if (qemb_in_place) {
+    next.quantized_embeddings = graph::QuantizedEmbeddingStore::View(
         num_vertices, dim,
+        reinterpret_cast<const int8_t*>(clone->data() +
+                                        base.layout.qemb_data),
         reinterpret_cast<const float*>(clone->data() +
-                                       base.layout.embd_data),
+                                       base.layout.qemb_scales),
         clone);
-    if (qemb_in_place) {
-      next.quantized_embeddings = graph::QuantizedEmbeddingStore::View(
-          num_vertices, dim,
-          reinterpret_cast<const int8_t*>(clone->data() +
-                                          base.layout.qemb_data),
-          reinterpret_cast<const float*>(clone->data() +
-                                         base.layout.qemb_scales),
-          clone);
-    }
-    next.mapping = std::move(clone);
-    next.layout = base.layout;
-  } else {
-    if (base_has_qemb) {
-      // Owned fallback: requantizing the patched matrix reproduces the
-      // same bits as patching (QuantizeRow is the single quantization
-      // kernel everywhere).
-      next.quantized_embeddings =
-          graph::QuantizedEmbeddingStore::Quantize(patched);
-    }
-    next.embeddings = std::move(patched);
   }
+  next.mapping = std::move(clone);
+  next.layout = base.layout;
   return next;
 }
 

@@ -1,5 +1,5 @@
 // IMRD row-sparse delta generations: the O(touched-rows) companion of the
-// IMRS v2 snapshot format.
+// mmap'd IMRS snapshot format.
 //
 // A training step that touches 0.2% of the embedding rows should not cost
 // an O(vocab x dim) snapshot rewrite plus an O(model) reload to reach the
@@ -8,7 +8,7 @@
 // plus any changed named parameters — and the serve tier applies it to the
 // in-memory base generation:
 //
-//   base (mmap'd v2)  ──PrivateCopy──>  copy-on-write clone
+//   base (mmap'd)     ──PrivateCopy──>  copy-on-write clone
 //                                        │ memcpy touched row-blocks only
 //                                        ▼
 //                                   new Snapshot (borrowed views over the
@@ -19,7 +19,7 @@
 // (and its pages shared) until the last borrowing generation drains.
 //
 // Identity chaining: a delta names its base by the base's FNV-1a content
-// hash (v2 footer) and carries result_hash = FNV(delta payload, seed =
+// hash (snapshot footer) and carries result_hash = FNV(delta payload, seed =
 // base_hash); applying to any other generation fails with a clean Status.
 // SnapshotWatcher uses the (base_hash -> result_hash) edges to apply a
 // directory of sibling deltas in chain order.
@@ -36,9 +36,9 @@
 //         name string, u64 value count, raw f32 values
 //   SEND  u32 tag, u64 result_hash          <- last 12 bytes, cheap probe
 //
-// A base loaded from a v1 file (owned storage, no mapping) still applies:
-// the embeddings are copied once and patched in place — O(model), the
-// documented fallback, never the serving path bench_serve gates on.
+// The base must be mapped (a LoadSnapshot result or an earlier ApplyDelta
+// result); a base without a mapping fails with a clean Status, since there
+// are no mapped pages to clone.
 #ifndef IMR_SERVE_DELTA_H_
 #define IMR_SERVE_DELTA_H_
 
@@ -95,8 +95,9 @@ struct DeltaSpec {
 /// block-aliases the base mapping via copy-on-write, memcpys only the
 /// touched row-blocks, shares the base's tables and kNN predictor, and
 /// rebuilds only the (small) parameter set. Fails with a clean Status when
-/// the delta's base_hash does not match `base.content_hash`, on any framing
-/// corruption, and never crashes on corrupt input.
+/// `base` has no mapping, when the delta's base_hash does not match
+/// `base.content_hash`, on any framing corruption, and never crashes on
+/// corrupt input.
 [[nodiscard]] util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
                                                   const std::string& path);
 

@@ -1,10 +1,10 @@
 #include "serve/inference_engine.h"
 
 #include <algorithm>
-#include <iterator>
 #include <numeric>
 #include <utility>
 
+#include "kg/types.h"
 #include "re/bag_dataset.h"
 #include "tensor/buffer_pool.h"
 #include "util/logging.h"
@@ -60,17 +60,6 @@ InferenceEngine::InferenceEngine(Snapshot snapshot,
           }(),
           options) {}
 
-InferenceEngine::~InferenceEngine() {
-  bool join_dispatcher = false;
-  {
-    util::MutexLock lock(queue_mutex_);
-    stop_ = true;
-    join_dispatcher = dispatcher_started_;
-  }
-  queue_cv_.NotifyAll();
-  if (join_dispatcher) dispatcher_.join();
-}
-
 util::StatusOr<std::unique_ptr<InferenceEngine>> InferenceEngine::Open(
     const std::string& snapshot_path, const EngineOptions& options) {
   auto snapshot = LoadSnapshot(snapshot_path);
@@ -124,6 +113,15 @@ util::StatusOr<re::Bag> InferenceEngine::BuildBag(const ModelState& state,
       return util::InvalidArgument(util::StrFormat(
           "query mention index out of range (head %d, tail %d, %d tokens)",
           sentence.head_index, sentence.tail_index, tokens));
+    }
+  }
+  // Table-supplied types were range-checked when the snapshot loaded.
+  for (const std::vector<int>* types : {&query.head_types, &query.tail_types}) {
+    for (int type : *types) {
+      if (type < 0 || type >= kg::kNumCoarseTypes) {
+        return util::InvalidArgument(util::StrFormat(
+            "query type id %d outside [0, %d)", type, kg::kNumCoarseTypes));
+      }
     }
   }
   const Snapshot& snapshot = state.snapshot;
@@ -302,73 +300,6 @@ std::vector<util::StatusOr<Prediction>> InferenceEngine::PredictBatch(
   return results;
 }
 
-std::future<util::StatusOr<Prediction>> InferenceEngine::SubmitAsync(
-    Query query) {
-  std::future<util::StatusOr<Prediction>> future;
-  {
-    util::MutexLock lock(queue_mutex_);
-    IMR_CHECK(!stop_);
-    EnsureDispatcherLocked();
-    queue_.push_back(PendingRequest{std::move(query), {}});
-    future = queue_.back().promise.get_future();
-  }
-  queue_cv_.NotifyAll();
-  return future;
-}
-
-void InferenceEngine::EnsureDispatcherLocked() {
-  if (dispatcher_started_) return;
-  dispatcher_started_ = true;
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-void InferenceEngine::DispatchLoop() {
-  // Explicit Lock/Unlock rather than RAII: the lock is dropped across batch
-  // execution in the middle of the loop body, which a scoped lock cannot
-  // express (and which keeps the thread-safety analysis loop-consistent:
-  // queue_mutex_ is held at the top of every iteration).
-  queue_mutex_.Lock();
-  while (true) {
-    while (!stop_ && queue_.empty()) queue_cv_.Wait(queue_mutex_);
-    if (queue_.empty()) {  // stop requested and nothing left to flush
-      queue_mutex_.Unlock();
-      return;
-    }
-    // Micro-batch window: linger briefly for more requests so bursts
-    // coalesce into one parallel pass, but never past the flush deadline.
-    if (!stop_ && options_.batch_delay_us > 0 &&
-        static_cast<int>(queue_.size()) < options_.max_batch) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.batch_delay_us);
-      while (!stop_ &&
-             static_cast<int>(queue_.size()) < options_.max_batch) {
-        if (!queue_cv_.WaitUntil(queue_mutex_, deadline)) break;  // timed out
-      }
-    }
-    const size_t take = std::min(
-        queue_.size(), static_cast<size_t>(std::max(options_.max_batch, 1)));
-    std::vector<PendingRequest> batch;
-    batch.reserve(take);
-    std::move(queue_.begin(), queue_.begin() + static_cast<long>(take),
-              std::back_inserter(batch));
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(take));
-    queue_mutex_.Unlock();
-
-    std::vector<Query> queries;
-    queries.reserve(batch.size());
-    for (PendingRequest& request : batch) {
-      queries.push_back(std::move(request.query));
-    }
-    std::vector<util::StatusOr<Prediction>> results = PredictBatch(queries);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    queue_mutex_.Lock();
-  }
-}
-
 util::StatusOr<Query> InferenceEngine::MakeQuery(
     const std::string& head_name, const std::string& tail_name,
     std::vector<text::Sentence> sentences) const {
@@ -413,7 +344,6 @@ std::vector<double> InferenceEngine::LatencySamples() const {
 EngineStats InferenceEngine::Stats() const {
   EngineStats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
   stats.knn_fired = knn_fired_.load(std::memory_order_relaxed);
   stats.cache_shards = mr_cache_.ShardStats();
   for (const CacheShardStats& shard : stats.cache_shards) {

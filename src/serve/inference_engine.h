@@ -2,14 +2,14 @@
 // pipeline with all training machinery stripped away. The engine serves an
 // immutable ModelState (eval-mode model, dropout off, no Rng anywhere on
 // the hot path), featurizes queries exactly as BagDataset did at training
-// time, and offers three calling conventions:
+// time, and offers two calling conventions:
 //
 //   Predict(query)        synchronous, single request
 //   PredictBatch(queries) one parallel pass over util::ThreadPool
-//   SubmitAsync(query)    enqueue; a dispatcher thread coalesces queued
-//                         requests into micro-batches (flushed at
-//                         max_batch or after batch_delay_us) and executes
-//                         them as one PredictBatch
+//
+// The engine has no request queue or dispatcher thread. Queued,
+// asynchronous serving (bounded queues, admission control, deadlines) is
+// ServeRouter's job; its queue is the one async entry of the serve tier.
 //
 // Hot swap: the serving state is a std::shared_ptr<const ModelState> held
 // in an atomic slot. Every request loads the pointer once and uses only
@@ -32,10 +32,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/model_state.h"
@@ -50,11 +48,6 @@
 namespace imr::serve {
 
 struct EngineOptions {
-  /// Micro-batch flush size for SubmitAsync; PredictBatch is unaffected.
-  int max_batch = 32;
-  /// How long the dispatcher waits for more requests before flushing a
-  /// partial micro-batch. 0 flushes immediately (no coalescing).
-  int batch_delay_us = 200;
   /// Worker threads for batch execution. 0 uses the process-global pool
   /// (util::GlobalThreads); > 0 gives the engine a private pool.
   int threads = 0;
@@ -84,7 +77,8 @@ struct EngineOptions {
 
 /// One inference request: an entity pair plus the sentences mentioning it
 /// (the bag). Types may be left empty when the snapshot carries an entity
-/// table — they are then filled from it.
+/// table — they are then filled from it. Explicit type ids must lie in
+/// [0, kg::kNumCoarseTypes); anything else is rejected with a Status.
 struct Query {
   int64_t head = -1;
   int64_t tail = -1;
@@ -116,7 +110,6 @@ struct Prediction {
 
 struct EngineStats {
   uint64_t requests = 0;
-  uint64_t batches = 0;  // micro-batches executed by the dispatcher
   /// Requests whose response blended in the kNN vote (Prediction::knn_fired).
   uint64_t knn_fired = 0;
   uint64_t mr_cache_hits = 0;
@@ -167,7 +160,6 @@ class InferenceEngine {
   /// not for copies of the weights.
   InferenceEngine(std::shared_ptr<const ModelState> state,
                   const EngineOptions& options);
-  ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
@@ -183,10 +175,6 @@ class InferenceEngine {
   /// align with the input order and are bit-identical at any thread count.
   std::vector<util::StatusOr<Prediction>> PredictBatch(
       const std::vector<Query>& queries);
-
-  /// Enqueues a query for micro-batched execution; the future resolves
-  /// once the dispatcher has run its batch.
-  std::future<util::StatusOr<Prediction>> SubmitAsync(Query query);
 
   /// Resolves entity names against the snapshot's entity table and builds
   /// a query. Sentences with head_index/tail_index < 0 get their mention
@@ -229,11 +217,6 @@ class InferenceEngine {
   }
 
  private:
-  struct PendingRequest {
-    Query query;
-    std::promise<util::StatusOr<Prediction>> promise;
-  };
-
   /// Cache keys embed the generation so a hot swap can never serve one
   /// generation's MR vector with another's model weights.
   struct MrCacheKey {
@@ -256,8 +239,6 @@ class InferenceEngine {
   util::StatusOr<Prediction> PredictOne(const Query& query)
       IMR_EXCLUDES(stats_mutex_);
   util::ThreadPool& pool();
-  void EnsureDispatcherLocked() IMR_REQUIRES(queue_mutex_);
-  void DispatchLoop() IMR_EXCLUDES(queue_mutex_, stats_mutex_);
 
   EngineOptions options_;
   std::unique_ptr<util::ThreadPool> own_pool_;  // only when options_.threads > 0
@@ -268,7 +249,6 @@ class InferenceEngine {
   ShardedLruCache<MrCacheKey, std::vector<float>, MrCacheKeyHash> mr_cache_;
 
   std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> knn_fired_{0};
   mutable util::Mutex stats_mutex_;  // latency ring + qps window only
   double latency_sum_us_ IMR_GUARDED_BY(stats_mutex_) = 0.0;
@@ -280,16 +260,6 @@ class InferenceEngine {
       IMR_GUARDED_BY(stats_mutex_);
   std::chrono::steady_clock::time_point last_completion_time_
       IMR_GUARDED_BY(stats_mutex_);
-
-  util::Mutex queue_mutex_;
-  util::CondVar queue_cv_;
-  std::vector<PendingRequest> queue_ IMR_GUARDED_BY(queue_mutex_);
-  bool stop_ IMR_GUARDED_BY(queue_mutex_) = false;
-  bool dispatcher_started_ IMR_GUARDED_BY(queue_mutex_) = false;
-  // Written once under queue_mutex_ (EnsureDispatcherLocked) and joined in
-  // the destructor after the dispatcher was told to stop; not annotated
-  // because std::thread::join must run unlocked.
-  std::thread dispatcher_;
 };
 
 }  // namespace imr::serve

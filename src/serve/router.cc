@@ -234,7 +234,6 @@ RouterStats ServeRouter::Stats() const {
     replica.shed_deadline = admission.shed_deadline;
 
     total.requests += replica.requests;
-    total.batches += replica.batches;
     total.knn_fired += replica.knn_fired;
     total.mr_cache_hits += replica.mr_cache_hits;
     total.mr_cache_misses += replica.mr_cache_misses;

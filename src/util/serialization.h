@@ -48,22 +48,20 @@ class BinaryWriter {
   void WriteDouble(double value);
   void WriteString(const std::string& value);
   void WriteFloatVector(const std::vector<float>& values);
-  /// Length-prefixed raw byte payload; the bulk carrier for quantized
-  /// (int8) tensors.
-  void WriteByteVector(const std::vector<int8_t>& values);
   /// Length-prefixed vector of ints (stored as i64 each; meant for small
   /// id lists like entity types, not bulk data).
   void WriteIntVector(const std::vector<int>& values);
 
-  /// Unprefixed raw bytes — the bulk carrier for v2 zero-copy sections,
-  /// whose sizes live in the trailing offset table instead of inline.
+  /// Unprefixed raw bytes — the bulk carrier for zero-copy snapshot
+  /// sections, whose sizes live in the trailing offset table instead of
+  /// inline.
   void WriteRawBytes(const void* data, size_t size);
   /// Zero-fills until offset() is a multiple of `alignment` (a power of
   /// two), so mmap'd payloads start on cache-line / SIMD-safe boundaries.
   void PadTo(size_t alignment);
 
   /// Content hashing: every byte written while enabled folds into an
-  /// FNV-1a running hash. The v2 snapshot writer enables it after the
+  /// FNV-1a running hash. The snapshot writer enables it after the
   /// header and records hash() in the footer as the file's identity.
   void StartHashing(uint64_t seed = kFnvOffsetBasis);
   void StopHashing();
@@ -90,7 +88,7 @@ class BinaryReader {
   BinaryReader(const std::string& path, uint32_t magic, uint32_t version);
 
   /// View mode: walks `[data, data + size)` in memory with NO header —
-  /// the caller (the v2 snapshot reader) already validated framing and
+  /// the caller (the snapshot reader) already validated framing and
   /// hands in one section's byte range. `label` names the backing file and
   /// `base_offset` is the range's absolute file offset, so errors report
   /// real file positions.
@@ -113,7 +111,6 @@ class BinaryReader {
   double ReadDouble();
   std::string ReadString();
   std::vector<float> ReadFloatVector();
-  std::vector<int8_t> ReadByteVector();
   std::vector<int> ReadIntVector();
 
   /// Unprefixed raw bytes into caller storage — the counterpart of

@@ -519,8 +519,7 @@ TEST(LintTest, RuleIdsAreStable) {
       "no-raw-random", "no-naked-new", "no-throw",
       "no-iostream",   "mutex-guard",  "include-hygiene",
       "kernel-alloc",  "optimizer-dense-grad", "raw-intrinsics",
-      "blocking-under-shard-lock", "ann-search-alloc",
-      "snapshot-full-copy"};
+      "blocking-under-shard-lock", "ann-search-alloc"};
   EXPECT_EQ(RuleIds(), expected);
 }
 
@@ -563,47 +562,6 @@ void A() { throw 1; }
 )cc";
   EXPECT_EQ(Rules(LintSource("src/util/fixture.cc", source)),
             (std::vector<std::string>{"no-throw"}));
-}
-
-TEST(LintTest, SnapshotFullCopyFiresOnBulkDeserializeInServe) {
-  const std::string source = R"cc(
-util::Status LoadTables(util::BinaryReader* reader, Snapshot* out) {
-  auto embeddings = graph::EmbeddingStore::ReadFrom(reader);
-  auto quantized = graph::QuantizedEmbeddingStore::ReadFrom(reader);
-  auto scales = reader->ReadFloatVector();
-  auto rows = reader->ReadByteVector();
-  return util::OkStatus();
-}
-)cc";
-  const auto findings = LintSource("src/serve/bad_loader.cc", source);
-  ASSERT_EQ(findings.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(findings[static_cast<size_t>(i)].rule, "snapshot-full-copy");
-    EXPECT_EQ(findings[static_cast<size_t>(i)].line, 3 + i);
-  }
-}
-
-TEST(LintTest, SnapshotFullCopyOnlyAppliesToServe) {
-  // The same calls are the sanctioned idiom everywhere else (training
-  // checkpoints, tools) — only the serve load path promises O(header).
-  const std::string source = R"cc(
-util::Status Load(util::BinaryReader* reader) {
-  auto embeddings = graph::EmbeddingStore::ReadFrom(reader);
-  return util::OkStatus();
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/graph/checkpoint.cc", source).empty());
-}
-
-TEST(LintTest, SnapshotFullCopyHonorsAllowEscape) {
-  const std::string source = R"cc(
-util::Status LoadV1(util::BinaryReader* reader) {
-  // v1 has no offset table, the copy is the format's cost:
-  auto embeddings = graph::EmbeddingStore::ReadFrom(reader);  // imr-lint: allow(snapshot-full-copy)
-  return util::OkStatus();
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/serve/v1_loader.cc", source).empty());
 }
 
 TEST(LintTest, RawStringLiteralContentsAreBlanked) {

@@ -175,6 +175,17 @@ TEST(EncoderFactoryTest, MakesAllKinds) {
   EXPECT_EQ(MakeEncoder("bogus", SmallConfig(), &rng), nullptr);
 }
 
+TEST(EncoderFactoryTest, BuildsEveryListedKind) {
+  util::Rng rng(11);
+  for (std::string_view kind : kEncoderKinds) {
+    EXPECT_TRUE(IsEncoderKind(kind));
+    EXPECT_NE(MakeEncoder(std::string(kind), SmallConfig(), &rng), nullptr)
+        << kind;
+  }
+  EXPECT_FALSE(IsEncoderKind("bogus"));
+  EXPECT_FALSE(IsEncoderKind(""));
+}
+
 TEST(SelectiveAttentionTest, WeightsOnSimplex) {
   util::Rng rng(12);
   SelectiveAttention attention(6, 3, &rng);

@@ -1,6 +1,7 @@
 // serve:: subsystem tests — snapshot round trips (bit-identical logits,
-// loud failure on corruption), the LRU cache, and the inference engine's
-// determinism across caching, thread counts, and the async micro-batcher.
+// loud failure on corruption), the LRU cache, the inference engine's
+// determinism across caching and thread counts, the router, hot swaps and
+// IMRD delta generations.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +20,8 @@
 #include "datagen/presets.h"
 #include "graph/line.h"
 #include "graph/proximity_graph.h"
+#include "kg/knowledge_graph.h"
+#include "kg/types.h"
 #include "nn/module.h"
 #include "re/bag_dataset.h"
 #include "re/pa_model.h"
@@ -313,6 +316,73 @@ TEST(SnapshotTest, RejectsTruncatedFiles) {
   }
 }
 
+TEST(SnapshotTest, RejectsUnknownEncoderInManifest) {
+  // The manifest's encoder kind is the first string in the file; swap it
+  // for a same-length name that is not in nn::kEncoderKinds.
+  std::string bytes = SlurpSnapshot();
+  const size_t at = bytes.find("pcnn");
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, 4, "xcnn");
+  const util::Status status = LoadMutated(bytes, "imr_bad_encoder.imrs");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown encoder 'xcnn'"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(SnapshotTest, RejectsOutOfRangeEntityTypeIds) {
+  ServeFixture& f = Shared();
+  const kg::KnowledgeGraph& graph = f.dataset->world.graph;
+  std::vector<std::string> relation_names;
+  for (const auto& schema : graph.relations())
+    relation_names.push_back(schema.name);
+  std::vector<serve::EntityRecord> entities;
+  for (const kg::Entity& entity : graph.entities())
+    entities.push_back({entity.name, entity.type_ids});
+  const std::string path = testing::TempDir() + "/imr_bad_type.imrs";
+
+  // The writer refuses a type id the reader would reject.
+  entities[0].type_ids = {kg::kNumCoarseTypes};
+  EXPECT_FALSE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
+                                   f.embeddings, relation_names, entities,
+                                   f.bag_options, 0, "", path)
+                   .ok());
+
+  // A file whose ENTS table carries one (patched in after a valid save:
+  // entity 0's first type id follows its name and the id count) fails to
+  // load with a Status naming the file.
+  entities[0].name = "bad_type_marker_entity";
+  entities[0].type_ids = {5};
+  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
+                                  f.embeddings, relation_names, entities,
+                                  f.bag_options, 0, "", path)
+                  .ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const size_t name_at = bytes.find(entities[0].name);
+  ASSERT_NE(name_at, std::string::npos);
+  const size_t type_at = name_at + entities[0].name.size() + 8;
+  int64_t type_id = 0;
+  std::memcpy(&type_id, bytes.data() + type_at, 8);
+  ASSERT_EQ(type_id, 5);
+  for (const int64_t bad : {int64_t{100000}, int64_t{-1}}) {
+    std::memcpy(&bytes[type_at], &bad, 8);
+    const util::Status status = LoadMutated(bytes, "imr_bad_type_ents.imrs");
+    ASSERT_FALSE(status.ok()) << "type id " << bad;
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("imr_bad_type_ents.imrs"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("type id"), std::string::npos);
+  }
+  std::remove(path.c_str());
+}
+
 // ---- Rng-free inference overload -----------------------------------------
 
 TEST(PaModelTest, RngFreePredictMatchesRngOverload) {
@@ -430,39 +500,6 @@ TEST(InferenceEngineTest, CachedUncachedAndThreadedBitIdentical) {
   EXPECT_EQ(uncached_stats.mr_cache_hits, 0u);
 }
 
-TEST(InferenceEngineTest, AsyncMicroBatchingMatchesSync) {
-  ServeFixture& f = Shared();
-  serve::EngineOptions options;
-  options.max_batch = 8;
-  options.batch_delay_us = 500;
-  auto engine = serve::InferenceEngine::Open(f.snapshot_path, options);
-  ASSERT_TRUE(engine.ok());
-  auto reference = serve::InferenceEngine::Open(f.snapshot_path);
-  ASSERT_TRUE(reference.ok());
-
-  std::vector<serve::Query> queries = f.SampleQueries(10);
-  std::vector<std::future<util::StatusOr<serve::Prediction>>> futures;
-  futures.reserve(queries.size() * 2);
-  for (int repeat = 0; repeat < 2; ++repeat)
-    for (const serve::Query& query : queries)
-      futures.push_back((*engine)->SubmitAsync(query));
-
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    auto expected = (*reference)->Predict(queries[i % queries.size()]);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(result->probabilities.size(), expected->probabilities.size());
-    for (size_t r = 0; r < expected->probabilities.size(); ++r)
-      ASSERT_EQ(result->probabilities[r], expected->probabilities[r]);
-  }
-  const serve::EngineStats stats = (*engine)->Stats();
-  EXPECT_EQ(stats.requests, futures.size());
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_GT(stats.qps, 0.0);
-  EXPECT_GT(stats.p99_latency_us, 0.0);
-}
-
 TEST(InferenceEngineTest, MakeQueryResolvesNamesAndMentions) {
   ServeFixture& f = Shared();
   auto engine = serve::InferenceEngine::Open(f.snapshot_path);
@@ -520,6 +557,27 @@ TEST(InferenceEngineTest, RejectsMalformedQueries) {
   serve::Query bad_mention = queries[0];
   bad_mention.sentences[0].head_index = 10'000;
   EXPECT_FALSE((*engine)->Predict(bad_mention).ok());
+}
+
+TEST(InferenceEngineTest, RejectsOutOfRangeTypeIds) {
+  ServeFixture& f = Shared();
+  auto engine = serve::InferenceEngine::Open(f.snapshot_path);
+  ASSERT_TRUE(engine.ok());
+  const serve::Query query = f.SampleQueries(1)[0];
+  for (int bad : {100000, -1}) {
+    serve::Query head = query;
+    head.head_types = {bad};
+    auto result = (*engine)->Predict(head);
+    ASSERT_FALSE(result.ok()) << "head type " << bad;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    serve::Query tail = query;
+    tail.tail_types = {0, bad};
+    result = (*engine)->Predict(tail);
+    ASSERT_FALSE(result.ok()) << "tail type " << bad;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  // The engine keeps serving after the rejects.
+  EXPECT_TRUE((*engine)->Predict(query).ok());
 }
 
 // ---- int8 quantized serving -----------------------------------------------
@@ -854,6 +912,21 @@ TEST(RouterTest, SyncAsyncAndInvalidQueriesFlowThrough) {
   auto bad = (*router)->Predict(invalid);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(RouterTest, RejectsOutOfRangeTypeIds) {
+  ServeFixture& f = Shared();
+  auto router = serve::ServeRouter::Open(f.snapshot_path);
+  ASSERT_TRUE(router.ok());
+  const serve::Query query = f.SampleQueries(1)[0];
+  for (int bad : {100000, -1}) {
+    serve::Query invalid = query;
+    invalid.head_types = {bad};
+    auto result = (*router)->Predict(invalid);
+    ASSERT_FALSE(result.ok()) << "type " << bad;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE((*router)->Predict(query).ok());
 }
 
 TEST(RouterTest, BackpressureRejectsUnderOverload) {
@@ -1231,55 +1304,16 @@ TEST(SnapshotWatcherTest, BackgroundThreadPicksUpChanges) {
   std::remove(watched.c_str());
 }
 
-// ---- format compat (v1 <-> v2) --------------------------------------------
+// ---- format compat ---------------------------------------------------------
 //
 // check.sh's snapshot-compat stage runs exactly `SnapshotCompat*`.
-
-TEST(SnapshotCompatTest, V1WrittenByCurrentWriterLoadsBitIdentical) {
-  ServeFixture& f = Shared();
-  const std::string v1_path = testing::TempDir() + "/imr_compat_v1.imrs";
-  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
-                                  f.embeddings, f.dataset->world.graph,
-                                  f.bag_options, /*trained_steps=*/8,
-                                  "compat", v1_path, nullptr, nullptr,
-                                  serve::kSnapshotFormatV1)
-                  .ok());
-  auto v1 = serve::LoadSnapshot(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1->format_version, serve::kSnapshotFormatV1);
-  EXPECT_FALSE(v1->embeddings.borrowed());  // v1 parses into owned storage
-  EXPECT_EQ(v1->mapping, nullptr);
-  EXPECT_EQ(v1->content_hash, 0u);  // v1 files carry no identity hash
-
-  auto v2 = serve::LoadSnapshot(f.snapshot_path);  // the fixture file is v2
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-
-  // Same bundle through both layouts: identical tables, embeddings, and
-  // bit-identical model outputs.
-  EXPECT_EQ(v1->vocab().size(), v2->vocab().size());
-  EXPECT_EQ(v1->relation_names(), v2->relation_names());
-  ASSERT_EQ(v1->entities().size(), v2->entities().size());
-  EXPECT_EQ(v1->entities()[0].name, v2->entities()[0].name);
-  ASSERT_EQ(v1->embeddings.value_count(), v2->embeddings.value_count());
-  EXPECT_EQ(std::memcmp(v1->embeddings.raw(), v2->embeddings.raw(),
-                        v1->embeddings.value_count() * sizeof(float)),
-            0);
-  int checked = 0;
-  for (const re::Bag& bag : f.bags->test_bags()) {
-    EXPECT_EQ(v1->model->Predict(bag), v2->model->Predict(bag));
-    if (++checked >= 5) break;
-  }
-  std::remove(v1_path.c_str());
-}
 
 TEST(SnapshotCompatTest, V2OpensZeroCopyWithContentHash) {
   ServeFixture& f = Shared();
   auto v2 = serve::LoadSnapshot(f.snapshot_path);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_EQ(v2->format_version, serve::kSnapshotFormatV2);
   EXPECT_TRUE(v2->embeddings.borrowed());  // views into the mapping
   ASSERT_NE(v2->mapping, nullptr);
-  EXPECT_TRUE(v2->layout.valid);
   EXPECT_NE(v2->content_hash, 0u);
   // The borrowed rows point into the mapped file, on a 64-byte boundary.
   const auto* raw = reinterpret_cast<const uint8_t*>(v2->embeddings.raw());
@@ -1307,6 +1341,53 @@ TEST(SnapshotCompatTest, V2RejectedBySimulatedV1Reader) {
   EXPECT_NE(reader.status().message().find("unsupported version"),
             std::string::npos);
   EXPECT_NE(reader.status().message().find("file has 2"), std::string::npos);
+}
+
+TEST(SnapshotCompatTest, Version1HeaderFailsCleanlyNamingTheFile) {
+  // The streamed version-1 format is retired: a file claiming it gets the
+  // reader's "unsupported version" Status, never a parse attempt.
+  std::string bytes = SlurpSnapshot();
+  const uint32_t version_one = 1;
+  std::memcpy(&bytes[4], &version_one, sizeof(version_one));
+  const util::Status status = LoadMutated(bytes, "imr_compat_version1.imrs");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("imr_compat_version1.imrs"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(SnapshotCompatTest, ApplyDeltaToUnmappedBaseReturnsStatus) {
+  ServeFixture& f = Shared();
+  auto loaded = serve::LoadSnapshot(f.snapshot_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string delta_path = testing::TempDir() + "/imr_unmapped.imrd";
+  serve::DeltaSpec spec;
+  spec.touched_rows = {2};
+  ASSERT_TRUE(serve::SaveDelta(loaded->content_hash, f.embeddings, nullptr,
+                               spec, delta_path)
+                  .ok());
+
+  // Same tables, model and hash, but the embeddings live in owned storage
+  // and there is no mapping to clone.
+  serve::Snapshot unmapped = std::move(*loaded);
+  graph::EmbeddingStore owned(f.embeddings.num_vertices(),
+                              f.embeddings.dim());
+  std::memcpy(owned.Vector(0), f.embeddings.raw(),
+              f.embeddings.value_count() * sizeof(float));
+  unmapped.embeddings = std::move(owned);
+  unmapped.mapping.reset();
+  auto applied = serve::ApplyDelta(unmapped, delta_path);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(applied.status().message().find("mapping"), std::string::npos)
+      << applied.status().ToString();
+
+  // A default-constructed snapshot (no model either) fails the same way.
+  EXPECT_FALSE(serve::ApplyDelta(serve::Snapshot(), delta_path).ok());
+  std::remove(delta_path.c_str());
 }
 
 // ---- IMRD delta generations ------------------------------------------------
@@ -1355,7 +1436,6 @@ TEST(DeltaTest, HeaderProbeAndRowPatchRoundTrip) {
   auto applied = serve::ApplyDelta(*base, delta_path);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->content_hash, *result_hash);
-  EXPECT_EQ(applied->format_version, serve::kSnapshotFormatV2);
   EXPECT_TRUE(applied->embeddings.borrowed());  // views over the CoW clone
   ASSERT_NE(applied->mapping, nullptr);
   EXPECT_NE(applied->mapping, base->mapping);  // private clone, not the base
@@ -1552,52 +1632,6 @@ TEST(DeltaTest, ChainedDeltasComposeAcrossGenerations) {
             0);
   std::remove(d1.c_str());
   std::remove(d2.c_str());
-}
-
-TEST(DeltaTest, OwnedV1BaseFallbackStillApplies) {
-  ServeFixture& f = Shared();
-  const auto quantized = graph::QuantizedEmbeddingStore::Quantize(f.embeddings);
-  const std::string v1_path = testing::TempDir() + "/imr_delta_v1.imrs";
-  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
-                                  f.embeddings, f.dataset->world.graph,
-                                  f.bag_options, 8, "v1", v1_path, &quantized,
-                                  nullptr, serve::kSnapshotFormatV1)
-                  .ok());
-  auto base = serve::LoadSnapshot(v1_path);
-  ASSERT_TRUE(base.ok());
-  ASSERT_FALSE(base->embeddings.borrowed());
-  ASSERT_EQ(base->content_hash, 0u);  // v1: deltas chain on hash 0
-
-  const std::vector<int> rows = {6, 13};
-  const graph::EmbeddingStore patched = PerturbRows(f.embeddings, rows);
-  const std::string delta_path = testing::TempDir() + "/imr_delta_v1.imrd";
-  serve::DeltaSpec spec;
-  spec.touched_rows = rows;
-  auto result_hash =
-      serve::SaveDelta(0, patched, nullptr, spec, delta_path);
-  ASSERT_TRUE(result_hash.ok());
-
-  auto applied = serve::ApplyDelta(*base, delta_path);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_FALSE(applied->embeddings.borrowed());  // owned fallback
-  EXPECT_EQ(applied->content_hash, *result_hash);
-  EXPECT_EQ(std::memcmp(applied->embeddings.raw(), patched.raw(),
-                        patched.value_count() * sizeof(float)),
-            0);
-  // The owned fallback requantizes the whole patched store through the
-  // same kernel — bit-identical to quantizing from scratch.
-  ASSERT_FALSE(applied->quantized_embeddings.empty());
-  const auto requantized = graph::QuantizedEmbeddingStore::Quantize(patched);
-  EXPECT_EQ(std::memcmp(applied->quantized_embeddings.raw(),
-                        requantized.raw(), patched.value_count()),
-            0);
-  EXPECT_EQ(std::memcmp(applied->quantized_embeddings.raw_scales(),
-                        requantized.raw_scales(),
-                        static_cast<size_t>(patched.num_vertices()) *
-                            sizeof(float)),
-            0);
-  std::remove(v1_path.c_str());
-  std::remove(delta_path.c_str());
 }
 
 TEST(DeltaTest, RouterReloadDeltaMatchesFullSnapshot) {

@@ -225,10 +225,7 @@ class Linter {
     }
     if (relpath_ == "src/nn/optimizer.cc") CheckOptimizerDenseGrad();
     if (relpath_.rfind("src/tensor/simd/", 0) != 0) CheckRawIntrinsics();
-    if (relpath_.rfind("src/serve/", 0) == 0) {
-      CheckBlockingUnderShardLock();
-      CheckSnapshotFullCopy();
-    }
+    if (relpath_.rfind("src/serve/", 0) == 0) CheckBlockingUnderShardLock();
     CheckIncludeHygiene();
     std::sort(findings_.begin(), findings_.end(),
               [](const Finding& a, const Finding& b) {
@@ -356,27 +353,6 @@ class Linter {
   // temporaries; declarations initialised from a pool call
   // (`std::vector<float> out = AcquireBuffer(n)`), references, pointers and
   // nested vector types don't construct a fresh buffer and are left alone.
-  // V2 made snapshot opens O(header): the bulk arrays (EMBD fp32 matrix,
-  // QEMB int8 matrix + scales) are aliased straight out of the mmap, never
-  // parse-copied. A bulk deserialize call in serve code reintroduces the
-  // O(matrix) copy v2 exists to remove — usually by someone "fixing" a
-  // loader with the older copying idiom. The two sanctioned sites (the v1
-  // fallback loader's EMBD and QEMB reads in snapshot.cc) carry
-  // `imr-lint: allow(snapshot-full-copy)` with the justification inline.
-  void CheckSnapshotFullCopy() {
-    static const std::regex kPattern(
-        R"(\bReadFloatVector\s*\(|\bReadByteVector\s*\(|\b(?:Quantized)?EmbeddingStore::ReadFrom\s*\()");
-    for (size_t i = 0; i < scan_.code.size(); ++i) {
-      if (std::regex_search(scan_.code[i], kPattern)) {
-        Add("snapshot-full-copy", i,
-            "bulk parse-copy deserialization in serve code; v2 snapshots "
-            "alias bulk arrays out of the mapping (EmbeddingStore::View), "
-            "so opens stay O(header) — copying is reserved for the v1 "
-            "fallback, which must justify itself with an allow comment");
-      }
-    }
-  }
-
   void CheckKernelAlloc() {
     static const std::regex kPattern(
         R"(std::vector<float>\s*(?:[A-Za-z_]\w*\s*)?[({])");
@@ -738,8 +714,7 @@ const std::vector<std::string>& RuleIds() {
       "no-raw-random", "no-naked-new",         "no-throw",
       "no-iostream",   "mutex-guard",          "include-hygiene",
       "kernel-alloc",  "optimizer-dense-grad", "raw-intrinsics",
-      "blocking-under-shard-lock", "ann-search-alloc",
-      "snapshot-full-copy"};
+      "blocking-under-shard-lock", "ann-search-alloc"};
   return kRules;
 }
 

@@ -38,13 +38,6 @@
 //                     mutexes are leaf locks on the request hot path;
 //                     blocking under one serializes every request hashing
 //                     to that shard behind the slow operation
-//   snapshot-full-copy
-//                     bulk parse-copy deserialization (ReadFloatVector /
-//                     ReadByteVector / EmbeddingStore::ReadFrom /
-//                     QuantizedEmbeddingStore::ReadFrom) in src/serve/ —
-//                     v2 snapshots alias bulk arrays out of the mmap so
-//                     opens stay O(header); copying is reserved for the
-//                     v1 fallback sites, which carry explicit allows
 //
 // These per-line rules are pass 1 of the two-pass framework; pass 2 (the
 // cross-file structural analyses — lock-order cycles, hot-path
