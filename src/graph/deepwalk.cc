@@ -1,24 +1,14 @@
 #include "graph/deepwalk.h"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "graph/alias_sampler.h"
-#include "graph/hogwild_sgns.h"
-#include "util/logging.h"
+#include "graph/sgns.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace imr::graph {
 
 namespace {
-
-inline float FastSigmoid(float x) {
-  if (x > 8.0f) return 1.0f;
-  if (x < -8.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
 
 // Weighted adjacency with per-vertex alias samplers for O(1) next-step
 // draws.
@@ -55,151 +45,11 @@ struct WalkGraph {
 
 EmbeddingStore TrainDeepWalk(const ProximityGraph& graph,
                              const DeepWalkConfig& config) {
-  IMR_CHECK_GT(config.dim, 0);
-  IMR_CHECK_GT(config.walk_length, 1);
-  util::Rng rng(config.seed);
-  const int vertices = graph.num_vertices();
-  const int dim = config.dim;
-
-  EmbeddingStore store(vertices, dim);
-  std::vector<float> contexts(static_cast<size_t>(vertices) * dim, 0.0f);
-  const float bound = 0.5f / static_cast<float>(dim);
-  for (int v = 0; v < vertices; ++v) {
-    float* row = store.Vector(v);
-    for (int d = 0; d < dim; ++d)
-      row[d] = static_cast<float>(rng.Uniform(-bound, bound));
-  }
-
-  std::vector<double> noise_weights(static_cast<size_t>(vertices));
-  for (int v = 0; v < vertices; ++v)
-    noise_weights[static_cast<size_t>(v)] =
-        std::pow(graph.degrees()[static_cast<size_t>(v)],
-                 config.noise_power);
-  bool any_noise = false;
-  for (double w : noise_weights) any_noise |= (w > 0);
-  if (!any_noise) std::fill(noise_weights.begin(), noise_weights.end(), 1.0);
-  AliasSampler noise(noise_weights);
-
-  WalkGraph walk_graph(graph);
-  std::vector<int> order(static_cast<size_t>(vertices));
-  for (int v = 0; v < vertices; ++v) order[static_cast<size_t>(v)] = v;
-
-  const int64_t total_walks =
-      static_cast<int64_t>(vertices) * config.walks_per_vertex;
-
-  const int threads =
-      config.threads > 0 ? config.threads : util::GlobalThreads();
-  if (threads > 1 && vertices > 1) {
-    // Hogwild: each round shuffles the start order on the caller's rng
-    // (deterministic), then shards it across workers. Workers roll walks
-    // and apply skip-gram updates with private rngs and scratch; shared
-    // matrices are touched through relaxed atomics. Learning rate decays
-    // with the global walk index, as in the sequential schedule.
-    const int64_t grain =
-        (static_cast<int64_t>(vertices) + threads - 1) / threads;
-    const int64_t shards = util::ThreadPool::NumChunks(0, vertices, grain);
-    for (int round = 0; round < config.walks_per_vertex; ++round) {
-      rng.Shuffle(&order);
-      std::vector<uint64_t> seeds(static_cast<size_t>(shards));
-      for (uint64_t& s : seeds) s = rng.Next();
-      util::GlobalPool().ParallelForChunks(
-          0, vertices, grain, [&](int64_t lo, int64_t hi, int64_t shard) {
-            util::Rng worker_rng(seeds[static_cast<size_t>(shard)]);
-            std::vector<int> walk(static_cast<size_t>(config.walk_length));
-            std::vector<float> scratch(static_cast<size_t>(dim));
-            for (int64_t idx = lo; idx < hi; ++idx) {
-              const int64_t done =
-                  static_cast<int64_t>(round) * vertices + idx;
-              const float progress = static_cast<float>(done) /
-                                     static_cast<float>(total_walks);
-              const float lr =
-                  std::max(config.initial_lr * (1.0f - progress),
-                           config.initial_lr * 1e-4f);
-              int length = 0;
-              int current = order[static_cast<size_t>(idx)];
-              while (length < config.walk_length && current >= 0) {
-                walk[static_cast<size_t>(length++)] = current;
-                current = walk_graph.Step(current, &worker_rng);
-              }
-              if (length < 2) continue;
-              for (int center = 0; center < length; ++center) {
-                const int w_lo = std::max(0, center - config.window);
-                const int w_hi = std::min(length - 1, center + config.window);
-                float* center_vec =
-                    store.Vector(walk[static_cast<size_t>(center)]);
-                for (int pos = w_lo; pos <= w_hi; ++pos) {
-                  if (pos == center) continue;
-                  internal::HogwildSgnsUpdate(
-                      center_vec, contexts.data(), dim,
-                      walk[static_cast<size_t>(pos)],
-                      config.negative_samples, noise, lr, &worker_rng,
-                      &scratch);
-                }
-              }
-            }
-          });
-    }
-    store.NormalizeRows();
-    return store;
-  }
-
-  int64_t done_walks = 0;
-  std::vector<int> walk(static_cast<size_t>(config.walk_length));
-  for (int round = 0; round < config.walks_per_vertex; ++round) {
-    rng.Shuffle(&order);
-    for (int start : order) {
-      const float progress =
-          static_cast<float>(done_walks) / static_cast<float>(total_walks);
-      const float lr = std::max(config.initial_lr * (1.0f - progress),
-                                config.initial_lr * 1e-4f);
-      ++done_walks;
-      // Roll the walk.
-      int length = 0;
-      int current = start;
-      while (length < config.walk_length && current >= 0) {
-        walk[static_cast<size_t>(length++)] = current;
-        current = walk_graph.Step(current, &rng);
-      }
-      if (length < 2) continue;
-      // Skip-gram over the walk.
-      for (int center = 0; center < length; ++center) {
-        const int lo = std::max(0, center - config.window);
-        const int hi = std::min(length - 1, center + config.window);
-        float* center_vec =
-            store.Vector(walk[static_cast<size_t>(center)]);
-        for (int pos = lo; pos <= hi; ++pos) {
-          if (pos == center) continue;
-          const int target = walk[static_cast<size_t>(pos)];
-          std::vector<float> grad(static_cast<size_t>(dim), 0.0f);
-          for (int k = 0; k <= config.negative_samples; ++k) {
-            int vertex;
-            float label;
-            if (k == 0) {
-              vertex = target;
-              label = 1.0f;
-            } else {
-              vertex = static_cast<int>(noise.Sample(&rng));
-              if (vertex == target) continue;
-              label = 0.0f;
-            }
-            float* ctx =
-                contexts.data() + static_cast<size_t>(vertex) * dim;
-            float dot = 0.0f;
-            for (int d = 0; d < dim; ++d) dot += center_vec[d] * ctx[d];
-            const float g = (label - FastSigmoid(dot)) * lr;
-            for (int d = 0; d < dim; ++d) {
-              grad[static_cast<size_t>(d)] += g * ctx[d];
-              ctx[d] += g * center_vec[d];
-            }
-          }
-          for (int d = 0; d < dim; ++d)
-            center_vec[d] += grad[static_cast<size_t>(d)];
-        }
-      }
-    }
-  }
-  store.NormalizeRows();
-  return store;
+  const WalkGraph walk_graph(graph);
+  return internal::TrainWalkSgns(
+      graph, config, [&walk_graph](int, int current, util::Rng* rng) {
+        return walk_graph.Step(current, rng);
+      });
 }
 
 }  // namespace imr::graph

@@ -20,9 +20,9 @@ struct DeepWalkConfig {
   float initial_lr = 0.025f;
   double noise_power = 0.75;   // P_n(v) ~ deg^noise_power
   uint64_t seed = 131;
-  // Hogwild worker count; 0 defers to util::GlobalThreads(). 1 runs the
-  // original sequential path bit-exactly; N>1 shards each round's shuffled
-  // start vertices across workers (quality-equivalent, not bit-exact).
+  // Cap on walk chunks rolled and SGNS buckets trained at once (see
+  // graph/sgns.h); 0 defers to util::GlobalThreads(). The output is
+  // bit-identical for every value.
   int threads = 0;
 };
 

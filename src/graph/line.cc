@@ -2,151 +2,102 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "graph/alias_sampler.h"
-#include "graph/hogwild_sgns.h"
+#include "graph/sgns.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace imr::graph {
 
 namespace {
 
-// Fast, clamped sigmoid.
-inline float FastSigmoid(float x) {
-  if (x > 8.0f) return 1.0f;
-  if (x < -8.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
-
-// One SGD step of skip-gram-with-negative-sampling on (source, target):
-// maximises log sigma(ctx_t . emb_s) and K terms log sigma(-ctx_n . emb_s).
-// `embeddings`/`contexts` are [V x dim] row-major; for first-order LINE,
-// pass the same buffer for both.
-void SgnsUpdate(float* embeddings, float* contexts, int dim, int source,
-                int target, int negatives, const AliasSampler& noise,
-                float lr, util::Rng* rng) {
-  float* source_vec = embeddings + static_cast<size_t>(source) * dim;
-  std::vector<float> source_grad(static_cast<size_t>(dim), 0.0f);
-  for (int k = 0; k <= negatives; ++k) {
-    int vertex;
-    float label;
-    if (k == 0) {
-      vertex = target;
-      label = 1.0f;
-    } else {
-      vertex = static_cast<int>(noise.Sample(rng));
-      if (vertex == target) continue;
-      label = 0.0f;
-    }
-    float* ctx_vec = contexts + static_cast<size_t>(vertex) * dim;
-    float dot = 0.0f;
-    for (int d = 0; d < dim; ++d) dot += source_vec[d] * ctx_vec[d];
-    const float grad_scale = (label - FastSigmoid(dot)) * lr;
-    for (int d = 0; d < dim; ++d) {
-      source_grad[static_cast<size_t>(d)] += grad_scale * ctx_vec[d];
-      ctx_vec[d] += grad_scale * source_vec[d];
-    }
-  }
-  for (int d = 0; d < dim; ++d)
-    source_vec[d] += source_grad[static_cast<size_t>(d)];
-}
-
-// Hogwild variant of SgnsUpdate: identical math through the shared
-// relaxed-atomic kernel (see hogwild_sgns.h); `scratch` is the caller's
-// per-worker gradient buffer, avoiding a heap allocation per step.
-void SgnsUpdateHogwild(float* embeddings, float* contexts, int dim,
-                       int source, int target, int negatives,
-                       const AliasSampler& noise, float lr, util::Rng* rng,
-                       std::vector<float>* scratch) {
-  internal::HogwildSgnsUpdate(embeddings + static_cast<size_t>(source) * dim,
-                              contexts, dim, target, negatives, noise, lr,
-                              rng, scratch);
-}
+// Samples one bucket runs per sweep, at the least, before the sweep count
+// stops growing with the sample budget: enough work per bucket to outweigh
+// a wave's fork and join.
+constexpr int64_t kMinBucketSamples = 1024;
 
 // Trains one LINE order into `embeddings`; `contexts` is a separate buffer
-// for second order and aliases `embeddings` for first order.
+// for second order and aliases `embeddings` for first order. Each
+// undirected edge is two directed samples of equal weight (LINE treats an
+// undirected edge as two directed ones), filed under the bucket of
+// (source part, target part); `stream` seeds the order's bucket rngs.
 void TrainOrder(const ProximityGraph& graph, const LineConfig& config,
                 int dim, float* embeddings, float* contexts,
-                util::Rng* rng) {
+                uint64_t stream) {
   const auto& edges = graph.edges();
   if (edges.empty()) return;
-
-  std::vector<double> edge_weights;
-  edge_weights.reserve(edges.size());
-  for (const Edge& edge : edges) edge_weights.push_back(edge.weight);
-  AliasSampler edge_sampler(edge_weights);
 
   std::vector<double> noise_weights(graph.degrees().size());
   for (size_t v = 0; v < noise_weights.size(); ++v)
     noise_weights[v] = std::pow(graph.degrees()[v], config.noise_power);
-  double total_noise = 0;
-  for (double w : noise_weights) total_noise += w;
-  if (total_noise <= 0) {
-    // Degenerate graph: uniform noise.
-    std::fill(noise_weights.begin(), noise_weights.end(), 1.0);
-  }
-  AliasSampler noise_sampler(noise_weights);
+  const internal::SgnsSchedule schedule(graph.num_vertices(), noise_weights,
+                                        embeddings == contexts);
 
+  // Directed sample 2e runs edge e source -> target, 2e + 1 the reverse.
+  const size_t buckets = static_cast<size_t>(schedule.num_buckets());
+  std::vector<std::vector<int32_t>> samples(buckets);
+  std::vector<std::vector<double>> weights(buckets);
+  auto file = [&](int center, int context, size_t id, double weight) {
+    const size_t b = static_cast<size_t>(schedule.BucketOf(center, context));
+    samples[b].push_back(static_cast<int32_t>(id));
+    weights[b].push_back(weight);
+  };
+  for (size_t e = 0; e < edges.size(); ++e) {
+    file(edges[e].source, edges[e].target, 2 * e, edges[e].weight);
+    file(edges[e].target, edges[e].source, 2 * e + 1, edges[e].weight);
+  }
+  std::vector<std::unique_ptr<AliasSampler>> samplers(buckets);
+  std::vector<double> share(buckets, 0.0);
+  double total_weight = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    for (double w : weights[b]) share[b] += w;
+    total_weight += share[b];
+    if (share[b] > 0) samplers[b] = std::make_unique<AliasSampler>(weights[b]);
+    weights[b] = {};
+  }
+  for (double& s : share) s /= total_weight;
+
+  // Each sweep runs every bucket once, its share of the budget spread
+  // evenly over the sweeps.
   const int64_t total_samples =
       static_cast<int64_t>(edges.size()) * config.samples_per_edge;
-  const int threads =
-      config.threads > 0 ? config.threads : util::GlobalThreads();
-
-  if (threads > 1 && total_samples > 1) {
-    // Hogwild: shard the sample budget into `threads` contiguous ranges,
-    // one private rng per shard (seeded sequentially from the caller's rng
-    // so the caller's stream advances deterministically). Learning rate
-    // decays with the GLOBAL step index, exactly as the sequential
-    // schedule. Updates race benignly through relaxed atomics.
-    const int64_t grain = (total_samples + threads - 1) / threads;
-    const int64_t shards =
-        util::ThreadPool::NumChunks(0, total_samples, grain);
-    std::vector<uint64_t> seeds(static_cast<size_t>(shards));
-    for (uint64_t& s : seeds) s = rng->Next();
-    util::GlobalPool().ParallelForChunks(
-        0, total_samples, grain,
-        [&](int64_t lo, int64_t hi, int64_t shard) {
-          util::Rng worker_rng(seeds[static_cast<size_t>(shard)]);
-          std::vector<float> scratch(static_cast<size_t>(dim));
-          for (int64_t step = lo; step < hi; ++step) {
-            const float progress =
-                static_cast<float>(step) / static_cast<float>(total_samples);
-            const float lr =
-                std::max(config.initial_lr * (1.0f - progress),
-                         config.initial_lr * 1e-4f);
-            const Edge& edge = edges[edge_sampler.Sample(&worker_rng)];
-            if (worker_rng.Bernoulli(0.5)) {
-              SgnsUpdateHogwild(embeddings, contexts, dim, edge.source,
-                                edge.target, config.negative_samples,
-                                noise_sampler, lr, &worker_rng, &scratch);
-            } else {
-              SgnsUpdateHogwild(embeddings, contexts, dim, edge.target,
-                                edge.source, config.negative_samples,
-                                noise_sampler, lr, &worker_rng, &scratch);
-            }
-          }
-        });
-    return;
-  }
-
-  for (int64_t step = 0; step < total_samples; ++step) {
-    const float progress =
-        static_cast<float>(step) / static_cast<float>(total_samples);
-    const float lr =
-        std::max(config.initial_lr * (1.0f - progress),
-                 config.initial_lr * 1e-4f);
-    const Edge& edge = edges[edge_sampler.Sample(rng)];
-    // Undirected edge: train both directions (LINE treats each undirected
-    // edge as two directed ones).
-    if (rng->Bernoulli(0.5)) {
-      SgnsUpdate(embeddings, contexts, dim, edge.source, edge.target,
-                 config.negative_samples, noise_sampler, lr, rng);
-    } else {
-      SgnsUpdate(embeddings, contexts, dim, edge.target, edge.source,
-                 config.negative_samples, noise_sampler, lr, rng);
-    }
+  const int64_t sweeps = std::clamp<int64_t>(
+      total_samples / (static_cast<int64_t>(buckets) * kMinBucketSamples), 1,
+      std::max<int64_t>(1, config.samples_per_edge));
+  auto samples_before = [&](size_t bucket, int64_t sweep) {
+    return static_cast<int64_t>(share[bucket] *
+                                static_cast<double>(total_samples) *
+                                static_cast<double>(sweep) /
+                                static_cast<double>(sweeps));
+  };
+  for (int64_t sweep = 0; sweep < sweeps; ++sweep) {
+    schedule.RunSweep(config.threads, [&](int bucket) {
+      const size_t b = static_cast<size_t>(bucket);
+      const int64_t count =
+          samples_before(b, sweep + 1) - samples_before(b, sweep);
+      if (count <= 0 || samplers[b] == nullptr) return;
+      util::Rng rng = internal::CellRng(stream, static_cast<uint64_t>(sweep),
+                                        static_cast<uint64_t>(bucket));
+      std::vector<float> grad(static_cast<size_t>(dim));
+      for (int64_t k = 0; k < count; ++k) {
+        const double progress =
+            (static_cast<double>(sweep) +
+             static_cast<double>(k) / static_cast<double>(count)) /
+            static_cast<double>(sweeps);
+        const int32_t id = samples[b][samplers[b]->Sample(&rng)];
+        const Edge& edge = edges[static_cast<size_t>(id / 2)];
+        const bool forward = id % 2 == 0;
+        schedule.Update(embeddings, contexts, dim,
+                        forward ? edge.source : edge.target,
+                        forward ? edge.target : edge.source,
+                        config.negative_samples,
+                        internal::DecayedLearningRate(config.initial_lr,
+                                                      progress),
+                        &rng, grad.data());
+      }
+    });
   }
 }
 
@@ -187,7 +138,7 @@ EmbeddingStore TrainLine(const ProximityGraph& graph,
   if (config.first_order) {
     first.resize(static_cast<size_t>(vertices) * half);
     RandomInit(first.data(), first.size(), half, &rng);
-    TrainOrder(graph, config, half, first.data(), first.data(), &rng);
+    TrainOrder(graph, config, half, first.data(), first.data(), rng.Next());
     NormalizeBlock(first.data(), vertices, half);
   }
   if (config.second_order) {
@@ -195,7 +146,7 @@ EmbeddingStore TrainLine(const ProximityGraph& graph,
     second_context.assign(static_cast<size_t>(vertices) * half, 0.0f);
     RandomInit(second.data(), second.size(), half, &rng);
     TrainOrder(graph, config, half, second.data(), second_context.data(),
-               &rng);
+               rng.Next());
     NormalizeBlock(second.data(), vertices, half);
   }
 

@@ -5,10 +5,10 @@
 //  * Second-order objective: O2 with context vectors and K negative samples
 //    from P_n(v) ~ degree(v)^0.75.
 //
-// Training samples edges proportionally to their weight via an alias table
-// and applies asynchronous SGD with a linearly decaying learning rate. The
-// final entity vector concatenates the (L2-normalised) first- and second-
-// order embeddings.
+// Training samples edges proportionally to their weight via alias tables
+// and applies SGD with a linearly decaying learning rate, on the race-free
+// bucket schedule of graph/sgns.h. The final entity vector concatenates the
+// (L2-normalised) first- and second-order embeddings.
 #ifndef IMR_GRAPH_LINE_H_
 #define IMR_GRAPH_LINE_H_
 
@@ -28,10 +28,8 @@ struct LineConfig {
   float initial_lr = 0.025f;
   double noise_power = 0.75;  // P_n(v) ~ deg^noise_power
   uint64_t seed = 97;
-  // Hogwild worker count; 0 defers to util::GlobalThreads(). At 1 the
-  // original sequential SGD path (and rng stream) runs bit-exactly; at N>1
-  // edge sampling shards across workers with per-worker rngs and lock-free
-  // updates — quality-equivalent but not bit-reproducible across counts.
+  // Cap on SGNS buckets trained at once; 0 defers to
+  // util::GlobalThreads(). The output is bit-identical for every value.
   int threads = 0;
 };
 

@@ -1,25 +1,14 @@
 #include "graph/node2vec.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
 #include <unordered_set>
 
-#include "graph/alias_sampler.h"
-#include "graph/hogwild_sgns.h"
+#include "graph/sgns.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace imr::graph {
 
 namespace {
-
-inline float FastSigmoid(float x) {
-  if (x > 8.0f) return 1.0f;
-  if (x < -8.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
 
 // Adjacency with per-vertex neighbour sets for O(1) "is x a neighbour of
 // y" checks, needed by the second-order transition bias.
@@ -72,155 +61,24 @@ struct BiasedWalkGraph {
 
 EmbeddingStore TrainNode2Vec(const ProximityGraph& graph,
                              const Node2VecConfig& config) {
-  IMR_CHECK_GT(config.dim, 0);
-  IMR_CHECK_GT(config.walk_length, 1);
   IMR_CHECK_GT(config.p, 0.0);
   IMR_CHECK_GT(config.q, 0.0);
-  util::Rng rng(config.seed);
-  const int vertices = graph.num_vertices();
-  const int dim = config.dim;
-
-  EmbeddingStore store(vertices, dim);
-  std::vector<float> contexts(static_cast<size_t>(vertices) * dim, 0.0f);
-  const float bound = 0.5f / static_cast<float>(dim);
-  for (int v = 0; v < vertices; ++v) {
-    float* row = store.Vector(v);
-    for (int d = 0; d < dim; ++d)
-      row[d] = static_cast<float>(rng.Uniform(-bound, bound));
-  }
-
-  std::vector<double> noise_weights(static_cast<size_t>(vertices));
-  for (int v = 0; v < vertices; ++v)
-    noise_weights[static_cast<size_t>(v)] = std::pow(
-        graph.degrees()[static_cast<size_t>(v)], config.noise_power);
-  bool any_noise = false;
-  for (double w : noise_weights) any_noise |= (w > 0);
-  if (!any_noise) std::fill(noise_weights.begin(), noise_weights.end(), 1.0);
-  AliasSampler noise(noise_weights);
-
-  BiasedWalkGraph walk_graph(graph);
-  std::vector<int> order(static_cast<size_t>(vertices));
-  for (int v = 0; v < vertices; ++v) order[static_cast<size_t>(v)] = v;
-
-  const int64_t total_walks =
-      static_cast<int64_t>(vertices) * config.walks_per_vertex;
-
-  const int threads =
-      config.threads > 0 ? config.threads : util::GlobalThreads();
-  if (threads > 1 && vertices > 1) {
-    // Hogwild: same sharding scheme as DeepWalk (see deepwalk.cc), with the
-    // second-order biased step rolled on each worker's private rng.
-    const int64_t grain =
-        (static_cast<int64_t>(vertices) + threads - 1) / threads;
-    const int64_t shards = util::ThreadPool::NumChunks(0, vertices, grain);
-    for (int round = 0; round < config.walks_per_vertex; ++round) {
-      rng.Shuffle(&order);
-      std::vector<uint64_t> seeds(static_cast<size_t>(shards));
-      for (uint64_t& s : seeds) s = rng.Next();
-      util::GlobalPool().ParallelForChunks(
-          0, vertices, grain, [&](int64_t lo, int64_t hi, int64_t shard) {
-            util::Rng worker_rng(seeds[static_cast<size_t>(shard)]);
-            std::vector<int> walk(static_cast<size_t>(config.walk_length));
-            std::vector<float> scratch(static_cast<size_t>(dim));
-            for (int64_t idx = lo; idx < hi; ++idx) {
-              const int64_t done =
-                  static_cast<int64_t>(round) * vertices + idx;
-              const float progress = static_cast<float>(done) /
-                                     static_cast<float>(total_walks);
-              const float lr =
-                  std::max(config.initial_lr * (1.0f - progress),
-                           config.initial_lr * 1e-4f);
-              int length = 0;
-              int previous = -1;
-              int current = order[static_cast<size_t>(idx)];
-              while (length < config.walk_length && current >= 0) {
-                walk[static_cast<size_t>(length++)] = current;
-                const int next = walk_graph.Step(previous, current, config.p,
-                                                 config.q, &worker_rng);
-                previous = current;
-                current = next;
-              }
-              if (length < 2) continue;
-              for (int center = 0; center < length; ++center) {
-                const int w_lo = std::max(0, center - config.window);
-                const int w_hi = std::min(length - 1, center + config.window);
-                float* center_vec =
-                    store.Vector(walk[static_cast<size_t>(center)]);
-                for (int pos = w_lo; pos <= w_hi; ++pos) {
-                  if (pos == center) continue;
-                  internal::HogwildSgnsUpdate(
-                      center_vec, contexts.data(), dim,
-                      walk[static_cast<size_t>(pos)],
-                      config.negative_samples, noise, lr, &worker_rng,
-                      &scratch);
-                }
-              }
-            }
-          });
-    }
-    store.NormalizeRows();
-    return store;
-  }
-
-  int64_t done_walks = 0;
-  std::vector<int> walk(static_cast<size_t>(config.walk_length));
-  for (int round = 0; round < config.walks_per_vertex; ++round) {
-    rng.Shuffle(&order);
-    for (int start : order) {
-      const float progress =
-          static_cast<float>(done_walks) / static_cast<float>(total_walks);
-      const float lr = std::max(config.initial_lr * (1.0f - progress),
-                                config.initial_lr * 1e-4f);
-      ++done_walks;
-      int length = 0;
-      int previous = -1;
-      int current = start;
-      while (length < config.walk_length && current >= 0) {
-        walk[static_cast<size_t>(length++)] = current;
-        const int next =
-            walk_graph.Step(previous, current, config.p, config.q, &rng);
-        previous = current;
-        current = next;
-      }
-      if (length < 2) continue;
-      for (int center = 0; center < length; ++center) {
-        const int lo = std::max(0, center - config.window);
-        const int hi = std::min(length - 1, center + config.window);
-        float* center_vec =
-            store.Vector(walk[static_cast<size_t>(center)]);
-        for (int pos = lo; pos <= hi; ++pos) {
-          if (pos == center) continue;
-          const int target = walk[static_cast<size_t>(pos)];
-          std::vector<float> grad(static_cast<size_t>(dim), 0.0f);
-          for (int k = 0; k <= config.negative_samples; ++k) {
-            int vertex;
-            float label;
-            if (k == 0) {
-              vertex = target;
-              label = 1.0f;
-            } else {
-              vertex = static_cast<int>(noise.Sample(&rng));
-              if (vertex == target) continue;
-              label = 0.0f;
-            }
-            float* ctx =
-                contexts.data() + static_cast<size_t>(vertex) * dim;
-            float dot = 0.0f;
-            for (int d = 0; d < dim; ++d) dot += center_vec[d] * ctx[d];
-            const float g = (label - FastSigmoid(dot)) * lr;
-            for (int d = 0; d < dim; ++d) {
-              grad[static_cast<size_t>(d)] += g * ctx[d];
-              ctx[d] += g * center_vec[d];
-            }
-          }
-          for (int d = 0; d < dim; ++d)
-            center_vec[d] += grad[static_cast<size_t>(d)];
-        }
-      }
-    }
-  }
-  store.NormalizeRows();
-  return store;
+  const BiasedWalkGraph walk_graph(graph);
+  DeepWalkConfig walks;
+  walks.dim = config.dim;
+  walks.walks_per_vertex = config.walks_per_vertex;
+  walks.walk_length = config.walk_length;
+  walks.window = config.window;
+  walks.negative_samples = config.negative_samples;
+  walks.initial_lr = config.initial_lr;
+  walks.noise_power = config.noise_power;
+  walks.seed = config.seed;
+  walks.threads = config.threads;
+  return internal::TrainWalkSgns(
+      graph, walks,
+      [&walk_graph, &config](int previous, int current, util::Rng* rng) {
+        return walk_graph.Step(previous, current, config.p, config.q, rng);
+      });
 }
 
 }  // namespace imr::graph

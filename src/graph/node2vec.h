@@ -22,9 +22,9 @@ struct Node2VecConfig {
   double p = 1.0;  // return parameter: > 1 discourages backtracking
   double q = 1.0;  // in-out parameter: > 1 keeps walks local (BFS-like)
   uint64_t seed = 151;
-  // Hogwild worker count; 0 defers to util::GlobalThreads(). 1 runs the
-  // original sequential path bit-exactly; N>1 shards each round's shuffled
-  // start vertices across workers (quality-equivalent, not bit-exact).
+  // Cap on walk chunks rolled and SGNS buckets trained at once (see
+  // graph/sgns.h); 0 defers to util::GlobalThreads(). The output is
+  // bit-identical for every value.
   int threads = 0;
 };
 

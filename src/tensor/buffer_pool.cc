@@ -41,9 +41,13 @@ thread_local BufferPool* g_pool = nullptr;
 thread_local bool g_pool_destroyed = false;
 
 util::Mutex g_registry_mutex;
+// Never destroyed: the global thread pool's workers are joined during
+// static destruction, after a function-local static built later would
+// already be gone, and their thread-exit ~BufferPool still reads it.
 std::vector<BufferPool*>& Registry() IMR_REQUIRES(g_registry_mutex) {
-  static std::vector<BufferPool*> registry;
-  return registry;
+  static auto* registry =
+      new std::vector<BufferPool*>();  // imr-lint: allow(no-naked-new)
+  return *registry;
 }
 // Counters inherited from pools whose threads have exited.
 PoolStatsSnapshot& RetiredStats() IMR_REQUIRES(g_registry_mutex) {

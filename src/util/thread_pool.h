@@ -1,6 +1,5 @@
 // Shared parallelism substrate: a fixed-size thread pool with a blocking
-// ParallelFor, a deterministic tree reduction, and relaxed-atomic float
-// helpers for Hogwild-style embedding training.
+// ParallelFor and a deterministic tree reduction.
 //
 // Design rules that every caller relies on:
 //
@@ -17,7 +16,8 @@
 // A process-wide pool is sized by util::SetGlobalThreads (wired to the
 // --imr_threads flag in benches and the CLI). Thread count 1 bypasses the
 // pool entirely and reproduces the pre-threading scalar code paths
-// bit-exactly.
+// bit-exactly. Nothing on the pool races on shared data: graph embeddings
+// train row-disjoint buckets (graph/sgns.h).
 //
 // Lock discipline is machine-checked: every mutex-protected member carries
 // an IMR_GUARDED_BY annotation and the pool locks through util::Mutex, so a
@@ -118,30 +118,6 @@ int GlobalThreads();
 
 /// The lazily-created global pool, sized by SetGlobalThreads.
 ThreadPool& GlobalPool();
-
-// ---- Hogwild helpers ----
-//
-// Unsynchronised SGD (Recht et al. 2011) intentionally races on the shared
-// embedding matrices; lost updates are statistically benign. These wrappers
-// make every such access a relaxed atomic so the races are well-defined
-// C++ (and invisible to -fsanitize=thread) while compiling to plain
-// loads/stores on x86-64 and AArch64.
-
-inline float RelaxedLoad(const float* p) {
-  float v;
-  __atomic_load(p, &v, __ATOMIC_RELAXED);
-  return v;
-}
-
-inline void RelaxedStore(float* p, float v) {
-  __atomic_store(p, &v, __ATOMIC_RELAXED);
-}
-
-/// Hogwild accumulate: racy read-add-write (not a CAS loop; a concurrent
-/// writer's delta may be lost, which Hogwild tolerates by design).
-inline void RelaxedAdd(float* p, float delta) {
-  RelaxedStore(p, RelaxedLoad(p) + delta);
-}
 
 }  // namespace imr::util
 

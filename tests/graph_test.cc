@@ -6,9 +6,13 @@
 
 #include "datagen/presets.h"
 #include "graph/alias_sampler.h"
+#include "graph/deepwalk.h"
 #include "graph/embedding_store.h"
 #include "graph/line.h"
+#include "graph/node2vec.h"
 #include "graph/proximity_graph.h"
+#include "graph/sgns.h"
+#include "util/thread_pool.h"
 
 namespace imr::graph {
 namespace {
@@ -183,9 +187,10 @@ TEST(LineTest, SeparatesCommunities) {
 }
 
 TEST(LineTest, HogwildSeparatesCommunities) {
-  // Same two-cluster setup as SeparatesCommunities, but trained with four
-  // Hogwild workers. The sharded path is not bit-exact with the sequential
-  // one, so we assert the embedding quality, not the exact values.
+  // Same two-cluster setup as SeparatesCommunities, but trained with
+  // threads = 4. The bucket schedule gives the same vectors at every thread
+  // count (SgnsDeterminismTest covers that on a graph with several parts);
+  // this asserts that the parallel setting still separates the clusters.
   const int n = 20;
   ProximityGraph graph(n);
   util::Rng rng(41);
@@ -301,6 +306,79 @@ TEST(LineTest, MutualRelationsClusterByRelation) {
   same /= ns;
   diff /= nd;
   EXPECT_GT(same, diff + 0.1) << "same=" << same << " diff=" << diff;
+}
+
+// A graph with several vertex parts, so the bucket schedule really runs
+// buckets side by side: ring-of-communities structure over 1200 vertices.
+ProximityGraph ManyPartGraph() {
+  const int n = 1200;
+  ProximityGraph graph(n);
+  util::Rng rng(59);
+  for (int i = 0; i < 12 * n; ++i) {
+    const int a = static_cast<int>(rng.UniformInt(n));
+    const int b = (a / 40) * 40 + static_cast<int>(rng.UniformInt(40));
+    if (a != b) graph.AddCooccurrence(a, b);
+  }
+  for (int i = 0; i < n; ++i) {
+    graph.AddCooccurrence(i, (i + 40) % n);
+    graph.AddCooccurrence(i, (i + 40) % n);
+  }
+  graph.Finalize(2);
+  return graph;
+}
+
+// Restores the process-wide pool size when a test ends, even on failure.
+class GlobalThreadsGuard {
+ public:
+  GlobalThreadsGuard() : saved_(util::GlobalThreads()) {}
+  ~GlobalThreadsGuard() { util::SetGlobalThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
+// LINE, DeepWalk and node2vec give bit-identical vectors for one seed at
+// every `threads` value and every global pool size.
+TEST(SgnsDeterminismTest, BitIdenticalAtAnyThreadCount) {
+  const GlobalThreadsGuard guard;
+  const ProximityGraph graph = ManyPartGraph();
+  ASSERT_GE(internal::SgnsSchedule::NumParts(graph.num_vertices()), 4);
+
+  LineConfig line;
+  line.dim = 16;
+  line.samples_per_edge = 10;
+  DeepWalkConfig deepwalk;
+  deepwalk.dim = 8;
+  deepwalk.walks_per_vertex = 1;
+  deepwalk.walk_length = 8;
+  deepwalk.window = 2;
+  Node2VecConfig node2vec;
+  node2vec.dim = 8;
+  node2vec.walks_per_vertex = 1;
+  node2vec.walk_length = 8;
+  node2vec.window = 2;
+  node2vec.p = 0.5;
+  node2vec.q = 2.0;
+
+  util::SetGlobalThreads(1);
+  line.threads = deepwalk.threads = node2vec.threads = 1;
+  const std::vector<float> line_ref = TrainLine(graph, line).flat();
+  const std::vector<float> deepwalk_ref =
+      TrainDeepWalk(graph, deepwalk).flat();
+  const std::vector<float> node2vec_ref =
+      TrainNode2Vec(graph, node2vec).flat();
+
+  for (int pool : {1, 2, 4, 8}) {
+    util::SetGlobalThreads(pool);
+    for (int threads : {0, 1, 2, 4, 8}) {
+      SCOPED_TRACE("pool " + std::to_string(pool) + ", threads " +
+                   std::to_string(threads));
+      line.threads = deepwalk.threads = node2vec.threads = threads;
+      EXPECT_EQ(TrainLine(graph, line).flat(), line_ref);
+      EXPECT_EQ(TrainDeepWalk(graph, deepwalk).flat(), deepwalk_ref);
+      EXPECT_EQ(TrainNode2Vec(graph, node2vec).flat(), node2vec_ref);
+    }
+  }
 }
 
 }  // namespace
