@@ -5,6 +5,7 @@
 #define IMR_NN_ATTENTION_H_
 
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -22,6 +23,14 @@ class SelectiveAttention : public Module {
   tensor::Tensor BagRepresentation(const tensor::Tensor& x,
                                    int relation) const;
 
+  /// Eval-only (gradients off): the bag representation under every query
+  /// relation at once, [num_relations x dim]. Row r is bit-identical to
+  /// BagRepresentation(x, r) on every kernel backend: scores keep
+  /// RowwiseDot's c-ascending scalar dot, the weights go through the same
+  /// softmax_rows kernel, and the weighted sums keep WeightedSumRows'
+  /// n-ascending order. Scratch space comes from the tensor buffer pool.
+  tensor::Tensor AllBagRepresentations(const tensor::Tensor& x) const;
+
   /// The attention weights themselves (softmax over sentences), useful for
   /// inspection and tests. Returns [N].
   tensor::Tensor Weights(const tensor::Tensor& x, int relation) const;
@@ -34,6 +43,7 @@ class SelectiveAttention : public Module {
   int num_relations_;
   tensor::Tensor diag_;  // A, stored as its diagonal [dim]
   std::unique_ptr<Embedding> queries_;
+  std::vector<int> relation_ids_;  // 0..num_relations-1, for one gather
 };
 
 }  // namespace imr::nn

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/init.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/simd/dispatch.h"
 #include "util/logging.h"
 
@@ -22,6 +23,26 @@ tensor::Tensor Linear::Forward(const tensor::Tensor& x) const {
   tensor::Tensor y = tensor::MatMul(x, weight_);
   if (y.rank() == 1) return tensor::Add(y, bias_);
   return tensor::AddRowVector(y, bias_);
+}
+
+tensor::Tensor Linear::ForwardRowwise(const tensor::Tensor& x) const {
+  IMR_CHECK(!tensor::GradModeEnabled());
+  IMR_CHECK_EQ(x.rank(), 2);
+  IMR_CHECK_EQ(x.shape()[1], in_features_);
+  const int rows = x.shape()[0];
+  const size_t cols = static_cast<size_t>(out_features_);
+  // The kernel and per-row order MatMul + Add use for a rank-1 input.
+  const tensor::simd::Kernels& kernels = tensor::simd::Active();
+  std::vector<float> out =
+      tensor::internal::AcquireBufferFill(rows * cols, 0.0f);
+  kernels.matmul_ikj(x.data().data(), weight_.data().data(), out.data(),
+                     rows, in_features_, out_features_);
+  const float* bias = bias_.data().data();
+  for (int r = 0; r < rows; ++r) {
+    float* orow = out.data() + r * cols;
+    kernels.add(orow, bias, orow, cols);
+  }
+  return tensor::Tensor::FromData({rows, out_features_}, std::move(out));
 }
 
 tensor::Tensor Linear::ForwardTanh(const tensor::Tensor& x) const {

@@ -19,6 +19,12 @@ class Linear : public Module {
   /// x: [N x in] or rank-1 [in]; returns [N x out] or rank-1 [out].
   tensor::Tensor Forward(const tensor::Tensor& x) const;
 
+  /// Eval-only (gradients off) forward of a matrix x [N x in], row by row:
+  /// row i of the result is bit-identical to Forward() of row i as a rank-1
+  /// input, for any N. Forward() on a matrix goes through tensor::MatMul,
+  /// whose packed panel path (8+ rows) reassociates the dot products.
+  tensor::Tensor ForwardRowwise(const tensor::Tensor& x) const;
+
   /// Tanh(Forward(x)) through the fused tensor::AffineTanh kernel:
   /// bit-identical to the composition, one node instead of three.
   tensor::Tensor ForwardTanh(const tensor::Tensor& x) const;

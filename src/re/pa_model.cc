@@ -1,11 +1,28 @@
 #include "re/pa_model.h"
 
+#include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
+#include "tensor/simd/dispatch.h"
 #include "util/logging.h"
 
 namespace imr::re {
 
 using tensor::Tensor;
+using tensor::internal::PooledFloats;
+
+namespace {
+
+// block[r, :] += row for each of the `cols` rows of a [cols x cols] block
+// (tensor::Add's kernel, so each row matches a rank-1 Add exactly).
+void AddToEveryRow(const tensor::simd::Kernels& kernels, const float* row,
+                   int cols, float* block) {
+  const size_t n = static_cast<size_t>(cols);
+  for (size_t r = 0; r < n; ++r) {
+    kernels.add(block + r * n, row, block + r * n, n);
+  }
+}
+
+}  // namespace
 
 PaModel::PaModel(const PaModelConfig& config, util::Rng* rng)
     : config_(config) {
@@ -97,6 +114,21 @@ Tensor PaModel::Aggregate(const Tensor& encodings, int query_relation) const {
   return Tensor();
 }
 
+Tensor PaModel::MrConfidence(const Bag& bag) const {
+  IMR_CHECK_EQ(static_cast<int>(bag.mutual_relation.size()),
+               config_.mutual_relation_dim);
+  Tensor mr_input = Tensor::FromData({config_.mutual_relation_dim},
+                                     bag.mutual_relation);
+  return tensor::Softmax(
+      HeadForward(*mr_head_, quantized_mr_head_.get(), mr_input));
+}
+
+Tensor PaModel::TypeConfidence(const Bag& bag) const {
+  Tensor t_input = type_embedding_->PairVector(bag.head_types, bag.tail_types);
+  return tensor::Softmax(
+      HeadForward(*type_head_, quantized_type_head_.get(), t_input));
+}
+
 Tensor PaModel::FuseLogits(const Bag& bag, const Tensor& re_logits) const {
   if (!config_.use_mutual_relation && !config_.use_entity_type) {
     return re_logits;
@@ -105,20 +137,12 @@ Tensor PaModel::FuseLogits(const Bag& bag, const Tensor& re_logits) const {
   Tensor mixture =
       tensor::ScaleByScalarTensor(tensor::Softmax(re_logits), gamma_);
   if (config_.use_mutual_relation) {
-    IMR_CHECK_EQ(static_cast<int>(bag.mutual_relation.size()),
-                 config_.mutual_relation_dim);
-    Tensor mr_input = Tensor::FromData({config_.mutual_relation_dim},
-                                       bag.mutual_relation);
-    Tensor c_mr = tensor::Softmax(
-        HeadForward(*mr_head_, quantized_mr_head_.get(), mr_input));
-    mixture = tensor::Add(mixture, tensor::ScaleByScalarTensor(c_mr, alpha_));
+    mixture = tensor::Add(
+        mixture, tensor::ScaleByScalarTensor(MrConfidence(bag), alpha_));
   }
   if (config_.use_entity_type) {
-    Tensor t_input =
-        type_embedding_->PairVector(bag.head_types, bag.tail_types);
-    Tensor c_t = tensor::Softmax(
-        HeadForward(*type_head_, quantized_type_head_.get(), t_input));
-    mixture = tensor::Add(mixture, tensor::ScaleByScalarTensor(c_t, beta_));
+    mixture = tensor::Add(
+        mixture, tensor::ScaleByScalarTensor(TypeConfidence(bag), beta_));
   }
   return tensor::Add(tensor::ScaleByScalarTensor(mixture, fuse_scale_),
                      fuse_bias_);
@@ -179,23 +203,56 @@ std::vector<float> PaModel::PredictImpl(const Bag& bag,
                                         util::Rng* rng) const {
   tensor::NoGradGuard no_grad;
   Tensor encodings = EncodeBag(bag, rng);
-  std::vector<float> probabilities(
-      static_cast<size_t>(config_.num_relations), 0.0f);
-  if (config_.aggregation == Aggregation::kAttention) {
-    // Diagonal evaluation: relation r is scored under its own query.
-    for (int r = 0; r < config_.num_relations; ++r) {
-      Tensor bag_repr = Aggregate(encodings, r);
-      Tensor logits = FuseLogits(
-          bag, HeadForward(*re_head_, quantized_re_head_.get(), bag_repr));
-      Tensor probs = tensor::Softmax(logits);
-      probabilities[static_cast<size_t>(r)] = probs.at(r);
-    }
-  } else {
+  const int relations = config_.num_relations;
+  std::vector<float> probabilities(static_cast<size_t>(relations), 0.0f);
+  if (config_.aggregation != Aggregation::kAttention) {
     Tensor bag_repr = Aggregate(encodings, /*query_relation=*/0);
     Tensor probs = tensor::Softmax(FuseLogits(
         bag, HeadForward(*re_head_, quantized_re_head_.get(), bag_repr)));
-    for (int r = 0; r < config_.num_relations; ++r)
+    for (int r = 0; r < relations; ++r)
       probabilities[static_cast<size_t>(r)] = probs.at(r);
+    return probabilities;
+  }
+
+  // Diagonal evaluation: relation r is scored under its own attention
+  // query. All R queries run as one pass over R rows: row r of every block
+  // below holds the values the rank-1 BagLogits(bag, r) pipeline computes,
+  // with the same kernels in the same per-element order, so each
+  // probability is bit-identical to Softmax(BagLogits(bag, r))[r].
+  const tensor::simd::Kernels& kernels = tensor::simd::Active();
+  const size_t row_size = static_cast<size_t>(relations);
+  const size_t block_size = row_size * row_size;
+  const Tensor bag_reprs = attention_->AllBagRepresentations(encodings);
+  // The int8 head quantizes each row on its own; the fp32 head keeps the
+  // rank-1 matmul_ikj order (tensor::MatMul would pack 8+ rows).
+  const Tensor re_logits = quantized_re_head_ != nullptr
+                               ? quantized_re_head_->Forward(bag_reprs)
+                               : re_head_->ForwardRowwise(bag_reprs);
+  PooledFloats first(tensor::internal::AcquireBuffer(block_size));
+  PooledFloats second(tensor::internal::AcquireBuffer(block_size));
+  const float* logits = re_logits.data().data();
+  if (config_.use_mutual_relation || config_.use_entity_type) {
+    // FuseLogits row by row: gamma * softmax(re) + alpha * C_MR +
+    // beta * C_T, then * fuse_scale + fuse_bias. The side confidences do
+    // not depend on r, so they are computed once per bag.
+    kernels.softmax_rows(logits, first.data(), relations, relations);
+    kernels.scale(first.data(), gamma_.item(), first.data(), block_size);
+    if (config_.use_mutual_relation) {
+      const Tensor mr = tensor::ScaleByScalarTensor(MrConfidence(bag), alpha_);
+      AddToEveryRow(kernels, mr.data().data(), relations, first.data());
+    }
+    if (config_.use_entity_type) {
+      const Tensor type =
+          tensor::ScaleByScalarTensor(TypeConfidence(bag), beta_);
+      AddToEveryRow(kernels, type.data().data(), relations, first.data());
+    }
+    kernels.scale(first.data(), fuse_scale_.item(), first.data(), block_size);
+    AddToEveryRow(kernels, fuse_bias_.data().data(), relations, first.data());
+    logits = first.data();
+  }
+  kernels.softmax_rows(logits, second.data(), relations, relations);
+  for (size_t r = 0; r < row_size; ++r) {
+    probabilities[r] = second[r * row_size + r];
   }
   return probabilities;
 }

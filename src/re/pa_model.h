@@ -49,9 +49,12 @@ class PaModel : public nn::Module {
 
   /// Inference: probability of every relation for a bag. With selective
   /// attention each relation r is scored under its own query (the standard
-  /// "diagonal" evaluation); with avg/max one forward pass suffices.
-  /// `rng` only drives dropout and is untouched (may be null) unless the
-  /// model is in training mode.
+  /// "diagonal" evaluation of Lin et al. 2016): entry r is
+  /// Softmax(BagLogits(bag, r))[r], bit for bit, but all R queries run in
+  /// one pass over R rows — the sentences are encoded once and the MR and
+  /// type confidences computed once per bag. With avg/max one forward pass
+  /// suffices. `rng` only drives dropout and is untouched (may be null)
+  /// unless the model is in training mode.
   std::vector<float> Predict(const Bag& bag, util::Rng* rng) const;
 
   /// Deterministic, Rng-free inference: the same probabilities with dropout
@@ -84,6 +87,9 @@ class PaModel : public nn::Module {
   tensor::Tensor EncodeBag(const Bag& bag, util::Rng* rng) const;
   tensor::Tensor Aggregate(const tensor::Tensor& encodings,
                            int query_relation) const;
+  // C_MR = softmax(W_MR MR_ij + b_MR) and C_T = softmax(W_T T_ij + b_T).
+  tensor::Tensor MrConfidence(const Bag& bag) const;
+  tensor::Tensor TypeConfidence(const Bag& bag) const;
   // Fuses RE logits with the MR / Type confidences for one bag.
   tensor::Tensor FuseLogits(const Bag& bag,
                             const tensor::Tensor& re_logits) const;

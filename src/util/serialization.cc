@@ -1,6 +1,12 @@
 #include "util/serialization.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 
 #include "util/string_util.h"
 
@@ -8,6 +14,18 @@ namespace imr::util {
 
 namespace {
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+// A name beside `path` that no other writer uses: the process id keeps
+// concurrent processes apart, the counter concurrent writers in one process.
+// It never ends in the target's suffix, so a directory watcher that matches
+// "*.imrd" cannot pick up a half-written delta.
+std::string TempSiblingPath(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  return StrFormat("%s.tmp.%ld.%llu", path.c_str(),
+                   static_cast<long>(::getpid()),
+                   static_cast<unsigned long long>(
+                       counter.fetch_add(1, std::memory_order_relaxed)));
+}
 }  // namespace
 
 uint64_t Fnv1a(const void* data, size_t size, uint64_t seed) {
@@ -22,13 +40,20 @@ uint64_t Fnv1a(const void* data, size_t size, uint64_t seed) {
 
 BinaryWriter::BinaryWriter(const std::string& path, uint32_t magic,
                            uint32_t version)
-    : out_(path, std::ios::binary), path_(path) {
+    : path_(path), temp_path_(TempSiblingPath(path)) {
+  out_.open(temp_path_, std::ios::binary);
   if (!out_.is_open()) {
     status_ = IoError("cannot open for write: " + path);
     return;
   }
   WriteU32(magic);
   WriteU32(version);
+}
+
+BinaryWriter::~BinaryWriter() {
+  if (closed_) return;
+  out_.close();
+  std::remove(temp_path_.c_str());
 }
 
 void BinaryWriter::WriteRaw(const void* data, size_t size) {
@@ -90,11 +115,22 @@ void BinaryWriter::StartHashing(uint64_t seed) {
 void BinaryWriter::StopHashing() { hashing_ = false; }
 
 Status BinaryWriter::Close() {
+  if (closed_) return status_;
+  closed_ = true;
   if (status_.ok()) {
     out_.flush();
     if (!out_.good()) status_ = IoError("flush failed for '" + path_ + "'");
   }
   out_.close();
+  if (status_.ok() && out_.fail()) {
+    status_ = IoError("close failed for '" + path_ + "'");
+  }
+  if (status_.ok() &&
+      std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    status_ = IoError("cannot rename '" + temp_path_ + "' over '" + path_ +
+                      "': " + std::strerror(errno));
+  }
+  if (!status_.ok()) std::remove(temp_path_.c_str());
   return status_;
 }
 

@@ -30,11 +30,20 @@ inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 uint64_t Fnv1a(const void* data, size_t size,
                uint64_t seed = kFnvOffsetBasis);
 
+/// Writes a sibling temp file and renames it over `path` on a successful
+/// Close(), so readers only ever see the old file or the complete new one.
+/// Truncating a file in place would raise SIGBUS in any process that has it
+/// mmap'd (a serving snapshot generation); rename leaves the old inode alive
+/// for its mappings. A failed write, or a writer destroyed without Close(),
+/// removes the temp file and leaves `path` untouched.
 class BinaryWriter {
  public:
-  /// Opens `path` for writing and emits the header. Check status() before
-  /// use.
+  /// Opens a temp file beside `path` for writing and emits the header.
+  /// Check status() before use.
   BinaryWriter(const std::string& path, uint32_t magic, uint32_t version);
+  ~BinaryWriter();
+  BinaryWriter(const BinaryWriter&) = delete;
+  BinaryWriter& operator=(const BinaryWriter&) = delete;
 
   const Status& status() const { return status_; }
   const std::string& path() const { return path_; }
@@ -67,7 +76,8 @@ class BinaryWriter {
   void StopHashing();
   uint64_t hash() const { return hash_; }
 
-  /// Flushes and closes; returns the final status.
+  /// Flushes, closes and renames the temp file over path(); returns the
+  /// final status. On any error the temp file is removed.
   [[nodiscard]] Status Close();
 
  private:
@@ -75,6 +85,8 @@ class BinaryWriter {
 
   std::ofstream out_;
   std::string path_;
+  std::string temp_path_;
+  bool closed_ = false;
   uint64_t offset_ = 0;
   bool hashing_ = false;
   uint64_t hash_ = kFnvOffsetBasis;

@@ -210,7 +210,9 @@ TEST(BufferPoolTest, ZeroMissCachedServePredict) {
   config.encoder = "pcnn";
   config.aggregation = re::Aggregation::kAttention;
   config.use_mutual_relation = true;
+  config.use_entity_type = true;  // full PA-TMR: every fusion buffer pooled
   config.mutual_relation_dim = embeddings.dim();
+  config.type_dim = 6;
   config.encoder_config.vocab_size = bags.vocabulary().size();
   config.encoder_config.word_dim = 8;
   config.encoder_config.position_dim = 3;
@@ -242,7 +244,8 @@ TEST(BufferPoolTest, ZeroMissCachedServePredict) {
   std::unique_ptr<serve::InferenceEngine> engine =
       std::move(engine_or).value();
 
-  // Build one query from a held-out bag that has test-corpus sentences.
+  // Build one query from a held-out bag with several test-corpus
+  // sentences, so the batched diagonal evaluation runs over a real bag.
   serve::Query query;
   for (const re::Bag& bag : bags.test_bags()) {
     std::vector<text::Sentence> sentences;
@@ -253,13 +256,14 @@ TEST(BufferPoolTest, ZeroMissCachedServePredict) {
         if (sentences.size() >= 4) break;
       }
     }
-    if (sentences.empty()) continue;
+    if (sentences.size() < 2) continue;
     query.head = bag.head;
     query.tail = bag.tail;
     query.sentences = std::move(sentences);
     break;
   }
   ASSERT_GE(query.head, 0);
+  ASSERT_GE(query.sentences.size(), 2u);
 
   // Two warmup calls: the first misses (cold pool + cold MR cache), the
   // second fills any remaining gaps. After that a cached Predict must be

@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "datagen/presets.h"
 #include "graph/line.h"
 #include "graph/proximity_graph.h"
 #include "nn/gradcheck.h"
+#include "nn/module.h"
 #include "re/bag_dataset.h"
 #include "re/cnn_rl.h"
 #include "re/config.h"
@@ -16,6 +19,7 @@
 #include "re/multir.h"
 #include "re/pa_model.h"
 #include "re/trainer.h"
+#include "tensor/ops.h"
 
 namespace imr::re {
 namespace {
@@ -219,6 +223,58 @@ TEST(PaModelTest, FullFusionGradCheck) {
       &model, [&] { return model.BatchLoss(batch, &rng); }, 1e-2, 8);
   EXPECT_LT(result.max_abs_diff, 3e-2)
       << result.worst_parameter << "[" << result.worst_index << "]";
+}
+
+TEST(PaModelTest, BatchedDiagonalPredictMatchesPerRelationReference) {
+  // Predict scores every relation of a bag in one R-row pass. Entry r must
+  // equal, bit for bit, the per-relation reference built from public calls:
+  // Softmax(BagLogits(bag, r)) at r. The 32-relation models put enough
+  // rows through the RE head that tensor::MatMul would take its packed
+  // (reassociating) panel path.
+  Fixture& f = SharedFixture();
+  f.AttachMr();
+  const std::vector<Bag>& train = f.bags->train_bags();
+  std::vector<nn::EncoderInput> sentences;
+  for (const Bag& bag : train) {
+    sentences.insert(sentences.end(), bag.sentences.begin(),
+                     bag.sentences.end());
+    if (sentences.size() >= 9) break;
+  }
+  ASSERT_GE(sentences.size(), 9u);
+  std::vector<Bag> bags;
+  for (size_t size : {1, 2, 9}) {
+    Bag bag = train.front();
+    bag.sentences.assign(sentences.begin(), sentences.begin() + size);
+    bags.push_back(std::move(bag));
+  }
+  for (std::string_view encoder : nn::kEncoderKinds) {
+    for (bool use_mr : {false, true}) {
+      for (bool use_type : {false, true}) {
+        for (int relations : {f.bags->num_relations(), 32}) {
+          PaModelConfig config = f.SmallModelConfig(
+              std::string(encoder), Aggregation::kAttention, use_mr,
+              use_type);
+          config.num_relations = relations;
+          util::Rng rng(97);
+          PaModel model(config, &rng);
+          nn::EvalModeGuard eval(&model);
+          for (const Bag& bag : bags) {
+            const std::vector<float> predicted = model.Predict(bag);
+            ASSERT_EQ(predicted.size(), static_cast<size_t>(relations));
+            tensor::NoGradGuard no_grad;
+            for (int r = 0; r < relations; ++r) {
+              const float reference =
+                  tensor::Softmax(model.BagLogits(bag, r, nullptr)).at(r);
+              EXPECT_EQ(predicted[static_cast<size_t>(r)], reference)
+                  << encoder << " mr=" << use_mr << " type=" << use_type
+                  << " relations=" << relations
+                  << " sentences=" << bag.sentences.size() << " r=" << r;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PaModelTest, AverageAndMaxAggregations) {

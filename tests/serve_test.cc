@@ -6,16 +6,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "datagen/presets.h"
 #include "graph/line.h"
@@ -265,12 +269,14 @@ TEST(SnapshotTest, SaveRejectsInconsistentBundle) {
 
 // ---- corruption -----------------------------------------------------------
 
-std::string SlurpSnapshot() {
-  std::ifstream in(Shared().snapshot_path, std::ios::binary);
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   IMR_CHECK(in.good());
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
 }
+
+std::string SlurpSnapshot() { return ReadFileBytes(Shared().snapshot_path); }
 
 util::Status LoadMutated(const std::string& bytes, const std::string& name) {
   const std::string path = testing::TempDir() + "/" + name;
@@ -763,12 +769,26 @@ TEST(EngineShardingTest, ShardCountsAreBitIdentical) {
     ASSERT_TRUE(results_many[i].ok());
     EXPECT_EQ(results_one[i]->probabilities, results_many[i]->probabilities);
   }
-  // Hit behavior is shard-count independent: same pairs, same repeats.
-  const serve::EngineStats one_stats = (*engine_one)->Stats();
-  const serve::EngineStats many_stats = (*engine_many)->Stats();
-  EXPECT_EQ(one_stats.mr_cache_hits, many_stats.mr_cache_hits);
-  EXPECT_EQ(one_stats.cache_shards.size(), 1u);
-  EXPECT_EQ(many_stats.cache_shards.size(), 16u);
+  EXPECT_EQ((*engine_one)->Stats().cache_shards.size(), 1u);
+  EXPECT_EQ((*engine_many)->Stats().cache_shards.size(), 16u);
+
+  // Hit behavior is shard-count independent: same pairs, same repeats. On
+  // a multi-thread pool two copies of one pair can miss at the same time,
+  // so the hit count is compared between single-threaded engines, where it
+  // is a function of the stream alone.
+  one_shard.threads = 1;
+  many_shards.threads = 1;
+  auto serial_one = serve::InferenceEngine::Open(f.snapshot_path, one_shard);
+  auto serial_many =
+      serve::InferenceEngine::Open(f.snapshot_path, many_shards);
+  ASSERT_TRUE(serial_one.ok());
+  ASSERT_TRUE(serial_many.ok());
+  for (const auto& result : (*serial_one)->PredictBatch(stream))
+    ASSERT_TRUE(result.ok());
+  for (const auto& result : (*serial_many)->PredictBatch(stream))
+    ASSERT_TRUE(result.ok());
+  EXPECT_EQ((*serial_one)->Stats().mr_cache_hits,
+            (*serial_many)->Stats().mr_cache_hits);
 }
 
 // ---- admission control -----------------------------------------------------
@@ -1943,6 +1963,131 @@ TEST(QuantizedEngineTest, QuantizedServingIsDeterministic) {
     ASSERT_TRUE(second.ok());
     EXPECT_EQ(first->probabilities, second->probabilities);
   }
+}
+
+// Temp files a writer left beside `path` (named "<path>.tmp.*").
+int LeftoverTempFiles(const std::string& dir, const std::string& path) {
+  const std::string prefix = path.substr(dir.size() + 1) + ".tmp.";
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
+
+// Caps this process's file size so the next write past `bytes` fails with
+// EFBIG (SIGXFSZ ignored) instead of killing the process; restores both on
+// destruction.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    IMR_CHECK_EQ(::getrlimit(RLIMIT_FSIZE, &previous_), 0);
+    struct rlimit limit = previous_;
+    limit.rlim_cur = bytes;
+    IMR_CHECK_EQ(::setrlimit(RLIMIT_FSIZE, &limit), 0);
+  }
+  ~FileSizeLimit() {
+    IMR_CHECK_EQ(::setrlimit(RLIMIT_FSIZE, &previous_), 0);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  struct rlimit previous_;
+  void (*previous_handler_)(int);
+};
+
+TEST(SnapshotPublishTest, ResaveOverServedFileKeepsLiveGenerationBits) {
+  // Saving over the file an engine serves from must not touch the engine's
+  // mapping: the writer renames a finished temp file over the path, so the
+  // mapped inode stays intact. With the MR cache off, every Predict reads
+  // the mapped EMBD rows again.
+  ServeFixture& f = Shared();
+  // Per-process directory: concurrent test processes must not publish over
+  // each other's files.
+  const std::string dir =
+      MakeWatchDir("imr_resave_" + std::to_string(::getpid()));
+  const std::string path = dir + "/served.imrs";
+  CopyFile(f.snapshot_path, path);
+  serve::EngineOptions options;
+  options.mr_cache_capacity = 0;
+  options.threads = 1;
+  auto engine = serve::InferenceEngine::Open(path, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::vector<serve::Query> queries = f.SampleQueries(4);
+  std::vector<std::vector<float>> before;
+  for (const serve::Query& query : queries) {
+    auto prediction = (*engine)->Predict(query);
+    ASSERT_TRUE(prediction.ok());
+    before.push_back(prediction->probabilities);
+  }
+
+  // Re-save generation B's embeddings over the served path.
+  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
+                                  f.embeddings_b, f.dataset->world.graph,
+                                  f.bag_options, /*trained_steps=*/9,
+                                  "resave", path)
+                  .ok());
+  EXPECT_EQ(LeftoverTempFiles(dir, path), 0);
+  auto fresh = serve::InferenceEngine::Open(path, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  bool any_changed = false;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto live = (*engine)->Predict(queries[i]);
+    ASSERT_TRUE(live.ok());
+    EXPECT_EQ(live->probabilities, before[i]) << "query " << i;
+    auto reopened = (*fresh)->Predict(queries[i]);
+    ASSERT_TRUE(reopened.ok());
+    any_changed |= reopened->probabilities != before[i];
+  }
+  EXPECT_TRUE(any_changed);  // the save itself went through
+
+  // A save that fails mid-write (file size capped far below the snapshot)
+  // leaves the published file byte-identical and no temp file behind.
+  const std::string published = ReadFileBytes(path);
+  const util::Status failed = [&] {
+    FileSizeLimit limit(4096);
+    return serve::SaveSnapshot(*f.model, f.bags->vocabulary(), f.embeddings,
+                               f.dataset->world.graph, f.bag_options,
+                               /*trained_steps=*/10, "failed", path);
+  }();
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find(path), std::string::npos)
+      << failed.ToString();
+  EXPECT_TRUE(ReadFileBytes(path) == published);  // byte-identical
+  EXPECT_EQ(LeftoverTempFiles(dir, path), 0);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto live = (*engine)->Predict(queries[i]);
+    ASSERT_TRUE(live.ok());
+    EXPECT_EQ(live->probabilities, before[i]) << "query " << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotPublishTest, FailedDeltaSaveLeavesOldDeltaIntact) {
+  ServeFixture& f = Shared();
+  const std::string dir =
+      MakeWatchDir("imr_resave_delta_" + std::to_string(::getpid()));
+  const std::string path = dir + "/step.imrd";
+  auto base = serve::LoadSnapshot(f.snapshot_path);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  serve::DeltaSpec spec;
+  for (int row = 0; row < 64; ++row) spec.touched_rows.push_back(row);
+  ASSERT_TRUE(serve::SaveDelta(base->content_hash, f.embeddings_b, nullptr,
+                               spec, path)
+                  .ok());
+  const std::string published = ReadFileBytes(path);
+  const util::StatusOr<uint64_t> failed = [&] {
+    FileSizeLimit limit(1024);
+    return serve::SaveDelta(base->content_hash, f.embeddings, nullptr, spec,
+                            path);
+  }();
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(ReadFileBytes(path) == published);  // byte-identical
+  EXPECT_EQ(LeftoverTempFiles(dir, path), 0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
